@@ -29,6 +29,7 @@ from .experiment import (
     MethodCurves,
     PairedTrace,
     RhoMonitorSummary,
+    UndefinedAngleError,
     emit_csv,
     exact_mle,
     generate_data,
@@ -62,6 +63,7 @@ from .objectives import (
     ScalarFamily,
     SubsampledObjective,
     bernoulli_family,
+    batch_mean_values,
     bernoulli_scalar_family,
     evaluate_batch,
     fisher_identity_check,

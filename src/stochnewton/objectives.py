@@ -3,14 +3,22 @@
 An objective is an average (1/n) * sum_j log g_j(theta) of per-sample
 log-convex losses. Optimizers only ever see batch means of the
 per-sample value, gradient, and Hessian, packaged as a
-``BatchObservation``. Three families are built in:
+``BatchObservation``, and batch-mean values along a line search. Three
+families are built in:
 
 * least squares (Gaussian linear regression negative log-likelihood),
 * natural-parameter exponential-family maximum likelihood,
 * canonical generalized linear models with scalar response.
 
-Batch means are accumulated in ascending index order so that repeated
-evaluations are bit-identical regardless of caller or thread count.
+Each family implements one numpy kernel, ``row_terms``: the per-sample
+value, gradient and Hessian at every index of a batch at once, for one
+theta of shape (d,) or a stack of k thetas of shape (k, d).
+``SubsampledObjective.batch_sums`` adds the rows up in ascending index
+order with a sequential reduction (never BLAS or numpy's pairwise
+summation; see ``_sequential_sum``), so a batch sum is a pure function
+of theta and the batch multiset, equal bit for bit to adding the
+per-sample terms one at a time, whatever the caller or thread count.
+Per-sample ``value_grad_hess`` is the one-index case of the same kernel.
 """
 
 from dataclasses import dataclass
@@ -26,7 +34,9 @@ __all__ = [
     "BatchObservation",
     "SubsampledObjective",
     "sample_batch",
+    "sorted_batch",
     "evaluate_batch",
+    "batch_mean_values",
     "LeastSquaresData",
     "load_least_squares_csv",
     "LeastSquaresObjective",
@@ -76,19 +86,75 @@ def sample_batch(rng, n, size):
     return rng.integers(0, n, size=size)
 
 
+def _sequential_sum(rows, axis):
+    """Sum of ``rows`` along ``axis``, adding the slices strictly in order.
+
+    With the summed axis first and the other axes flattened into m > 1
+    contiguous columns, ``np.add.reduce`` adds one whole row at a time
+    into the running total, which is a sequential sum in every column.
+    With a single column numpy would switch to pairwise summation, so
+    that case goes through ``np.add.accumulate`` instead.
+    """
+    if axis:
+        rows = rows.swapaxes(0, axis)
+    if rows.ndim == 1:
+        return np.add.accumulate(rows)[-1]
+    flat = np.ascontiguousarray(rows).reshape(rows.shape[0], -1)
+    if flat.shape[1] == 1:
+        return np.add.accumulate(flat[:, 0])[-1].reshape(rows.shape[1:])
+    return np.add.reduce(flat, axis=0).reshape(rows.shape[1:])
+
+
 class SubsampledObjective:
     """Base class for averaged log-loss objectives.
 
-    Subclasses set ``n`` and ``d`` and implement ``value_grad_hess``.
-    Per-sample Hessians must be symmetric positive semidefinite.
+    Subclasses set ``n`` and ``d`` and implement the vectorized kernel
+    ``row_terms``. An objective that defines only the per-sample
+    ``value_grad_hess`` also works: the base ``row_terms`` then calls it
+    once per (theta, index) pair. Either way, sums over a batch are
+    formed by ``batch_sums`` in the order of the given indices, which
+    callers sort ascending. Per-sample Hessians must be symmetric
+    positive semidefinite.
     """
 
     n: int
     d: int
 
+    def row_terms(self, theta, idx, derivatives=True):
+        """Per-sample terms at every index of ``idx`` (shape (b,)).
+
+        ``theta`` has shape (d,) or (k, d). Returns the tuple (values,)
+        or, with ``derivatives``, (values, gradients, Hessians), with
+        shapes (b,), (b, d), (b, d, d) for one theta and a leading k
+        axis for a stack. This default loops over ``value_grad_hess``.
+        """
+        thetas = np.atleast_2d(theta)
+        terms = [[self.value_grad_hess(th, int(j)) for j in idx] for th in thetas]
+        rows = tuple(
+            np.array([[term[part] for term in row] for row in terms], dtype=float)
+            for part in range(3 if derivatives else 1)
+        )
+        return rows if theta.ndim == 2 else tuple(r[0] for r in rows)
+
+    def batch_sums(self, theta, idx, derivatives=True):
+        """Sums over ``idx`` of the ``row_terms``, added in the order of ``idx``.
+
+        Same shapes as ``row_terms`` with the batch axis summed away.
+        Overflow produces inf or nan without a warning; callers check
+        the result for finiteness.
+        """
+        theta = np.asarray(theta, dtype=float)
+        axis = theta.ndim - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self.row_terms(theta, idx, derivatives)
+            return tuple(_sequential_sum(r, axis) for r in rows)
+
     def value_grad_hess(self, theta, j):
         """Per-sample (log g_j(theta), gradient, Hessian)."""
-        raise NotImplementedError
+        if type(self).row_terms is SubsampledObjective.row_terms:
+            raise NotImplementedError("implement row_terms or value_grad_hess")
+        value, grad, hess = self.batch_sums(theta, np.array([j], dtype=np.intp))
+        return float(value), grad, hess
 
     def value(self, theta, j):
         return self.value_grad_hess(theta, j)[0]
@@ -96,21 +162,6 @@ class SubsampledObjective:
     def grad_hess(self, theta, j):
         _, g, h = self.value_grad_hess(theta, j)
         return g, h
-
-    def batch_value(self, theta, indices):
-        """Mean of log g_j(theta) over ``indices`` (evaluated in the given order)."""
-        total = 0.0
-        for j in indices:
-            total += self.value_grad_hess(theta, int(j))[0]
-        return total / len(indices)
-
-    def batch_value_fn(self, indices):
-        """Callable theta -> batch_value(theta, indices), for repeated use.
-
-        Subclasses may capture batch slices up front; the returned
-        function must agree with ``batch_value`` exactly.
-        """
-        return lambda theta: self.batch_value(theta, indices)
 
 
 def _regularize_hessian(q):
@@ -134,6 +185,16 @@ def _regularize_hessian(q):
     )
 
 
+def sorted_batch(obj, batch):
+    """``batch`` as an ascending index array, checked against ``obj.n``."""
+    idx = np.sort(np.asarray(batch, dtype=np.intp).ravel())
+    if idx.size == 0:
+        raise ValueError("batch is empty")
+    if idx[0] < 0 or idx[-1] >= obj.n:
+        raise ValueError(f"batch index out of range for n={obj.n}")
+    return idx
+
+
 def evaluate_batch(obj, theta, batch):
     """Batch-mean value, gradient, and regularized Hessian at ``theta``.
 
@@ -146,27 +207,23 @@ def evaluate_batch(obj, theta, batch):
         raise ValueError(f"theta must be a length-{obj.d} vector")
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite entries")
-    idx = np.sort(np.asarray(batch, dtype=np.intp).ravel())
-    if idx.size == 0:
-        raise ValueError("batch is empty")
-    if idx[0] < 0 or idx[-1] >= obj.n:
-        raise ValueError(f"batch index out of range for n={obj.n}")
-
-    f = np.zeros(obj.d)
-    q = np.zeros((obj.d, obj.d))
-    value = 0.0
-    for j in idx:
-        v, g, h = obj.value_grad_hess(theta, int(j))
-        value += v
-        f += g
-        q += h
-    size = float(idx.size)
-    value /= size
-    f /= size
-    q = sym(q / size)
+    idx = sorted_batch(obj, batch)
+    value, f, q = obj.batch_sums(theta, idx)
     if not (np.isfinite(value) and np.isfinite(f).all() and np.isfinite(q).all()):
         raise NumericalError("non-finite batch evaluation", theta=theta)
-    return BatchObservation(f=f, q=_regularize_hessian(q), value=value)
+    size = float(idx.size)
+    return BatchObservation(f=f / size, q=_regularize_hessian(sym(q / size)),
+                            value=float(value) / size)
+
+
+def batch_mean_values(obj, thetas, idx):
+    """Batch-mean objective value at each row of ``thetas`` (k, d).
+
+    ``idx`` is an ascending index array, as from ``sorted_batch``; the
+    values are summed exactly as in ``evaluate_batch``. Non-finite
+    values are returned as they are.
+    """
+    return obj.batch_sums(thetas, idx, derivatives=False)[0] / float(idx.size)
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +278,25 @@ def load_least_squares_csv(path):
 class LeastSquaresObjective(SubsampledObjective):
     """log g_j(theta) = (y_j - theta.x_j)^2 / 2.
 
-    Gradient (x_j x_j^T) theta - x_j y_j, Hessian x_j x_j^T (cached;
-    it does not depend on theta).
+    Gradient x_j r_j with r_j = theta.x_j - y_j; Hessian x_j x_j^T,
+    which does not depend on theta.
     """
 
     def __init__(self, data):
         self.data = data
         self.n = data.n
         self.d = data.d
-        self._outers = data.xs[:, :, None] * data.xs[:, None, :]
 
-    def value_grad_hess(self, theta, j):
-        x = self.data.xs[j]
-        r = float(np.dot(x, theta)) - self.data.ys[j]
-        return 0.5 * r * r, x * r, self._outers[j]
-
-    def batch_value(self, theta, indices):
-        r = self.data.xs[indices] @ theta - self.data.ys[indices]
-        return 0.5 * float(np.dot(r, r)) / len(r)
-
-    def batch_value_fn(self, indices):
-        xs = self.data.xs[indices]
-        ys = self.data.ys[indices]
-        k = len(ys)
-
-        def value(theta):
-            r = xs @ theta - ys
-            return 0.5 * float(np.dot(r, r)) / k
-
-        return value
+    def row_terms(self, theta, idx, derivatives=True):
+        xs = self.data.xs[idx]
+        r = np.vecdot(xs, theta[..., None, :]) - self.data.ys[idx]
+        value = 0.5 * r * r
+        if not derivatives:
+            return (value,)
+        outers = np.einsum("bi,bj->bij", xs, xs)
+        if r.ndim == 2:
+            outers = np.broadcast_to(outers, r.shape + outers.shape[1:])
+        return value, xs * r[..., None], outers
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +375,18 @@ class ExpFamilyObjective(SubsampledObjective):
         self.d = family.d
         self._ts = np.asarray(family.t(samples), dtype=float).reshape(self.n, self.d)
 
-    def value_grad_hess(self, theta, j):
+    def row_terms(self, theta, idx, derivatives=True):
         fam = self.family
-        a_val = float(fam.a(theta))
-        grad = np.asarray(fam.grad_a(theta), dtype=float) - self._ts[j]
-        hess = sym(np.asarray(fam.hess_a(theta), dtype=float))
-        if not (np.isfinite(a_val) and np.isfinite(grad).all() and np.isfinite(hess).all()):
-            raise NumericalError("log-normalizer evaluation is non-finite", theta=theta, index=j)
-        value = a_val - float(np.dot(theta, self._ts[j]))
-        return value, grad, hess
+        thetas = np.atleast_2d(theta)
+        ts = self._ts[idx]
+        a_vals = np.array([float(fam.a(th)) for th in thetas])
+        rows = [a_vals[:, None] - np.vecdot(thetas[:, None, :], ts)]
+        if derivatives:
+            grad_a = np.array([np.asarray(fam.grad_a(th), dtype=float) for th in thetas])
+            hess_a = np.array([sym(np.asarray(fam.hess_a(th), dtype=float)) for th in thetas])
+            rows.append(grad_a[:, None, :] - ts)
+            rows.append(np.broadcast_to(hess_a[:, None], (len(thetas), len(ts)) + hess_a.shape[1:]))
+        return tuple(rows) if theta.ndim == 2 else tuple(r[0] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +467,19 @@ class GlmObjective(SubsampledObjective):
         self.n = data.xs.shape[0]
         self.d = data.xs.shape[1]
         self._t_ys = np.asarray(data.family.t(data.ys), dtype=float).ravel()
-        self._outers = data.xs[:, :, None] * data.xs[:, None, :]
 
-    def value_grad_hess(self, theta, j):
+    def row_terms(self, theta, idx, derivatives=True):
         fam = self.data.family
-        x = self.data.xs[j]
-        eta = float(np.dot(x, theta))
-        a_val = float(fam.a(eta))
-        mean = float(fam.a_prime(eta))
-        var = float(fam.a_double_prime(eta))
-        if not (np.isfinite(a_val) and np.isfinite(mean) and np.isfinite(var)):
-            raise NumericalError(
-                "natural parameter left the family's domain", theta=theta, index=j
-            )
-        value = a_val - eta * self._t_ys[j]
-        grad = x * (mean - self._t_ys[j])
-        hess = self._outers[j] * var
-        return value, grad, hess
-
-    def batch_value(self, theta, indices):
-        fam = self.data.family
-        etas = self.data.xs[indices] @ theta
-        vals = np.asarray(fam.a(etas), dtype=float) - etas * self._t_ys[indices]
-        return float(np.sum(vals)) / len(vals)
+        xs = self.data.xs[idx]
+        t_ys = self._t_ys[idx]
+        eta = np.vecdot(xs, theta[..., None, :])
+        value = np.asarray(fam.a(eta), dtype=float) - eta * t_ys
+        if not derivatives:
+            return (value,)
+        mean = np.asarray(fam.a_prime(eta), dtype=float)
+        var = np.asarray(fam.a_double_prime(eta), dtype=float)
+        outers = np.einsum("bi,bj->bij", xs, xs)
+        return value, xs * (mean - t_ys)[..., None], outers * var[..., None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ import numpy as np
 from . import line_search
 from .filtering import FilterConfig, FilterDivergenceError, dkf_update_info, init_belief
 from .linalg import PositiveDefiniteError, solve_spd
-from .objectives import NumericalError, evaluate_batch, sample_batch
+from .objectives import (
+    NumericalError,
+    batch_mean_values,
+    evaluate_batch,
+    sample_batch,
+    sorted_batch,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -51,8 +57,12 @@ class StepRecord:
     """One optimization step.
 
     ``theta_after`` is exactly theta_before + step_length * direction.
-    ``rho_m`` and ``fallback_fired`` are populated by the filtered
-    variant from the second step on and are None otherwise.
+    ``newton_direction`` is the plain batch Newton direction -Q_t^-1 f_t
+    of this step's batch at theta_before; for the unfiltered variant it
+    is ``direction`` itself. ``rho_m`` and ``fallback_fired`` are
+    populated by the filtered variant from the second step on and are
+    None otherwise. A record holds the ``theta_prev`` and ``batch``
+    arrays it was made from, not copies.
     """
 
     t: int
@@ -61,6 +71,7 @@ class StepRecord:
     direction: np.ndarray
     step_length: float
     batch: np.ndarray
+    newton_direction: Optional[np.ndarray] = None
     rho_m: Optional[float] = None
     fallback_fired: Optional[bool] = None
 
@@ -86,27 +97,27 @@ class StepError(RuntimeError):
         self.partial_trace = partial_trace
 
 
-def _backtrack(obj, theta, direction, grad, batch_sorted, cfg):
-    h = obj.batch_value_fn(batch_sorted)
+def _backtrack(obj, theta, direction, grad, idx, cfg):
     return line_search.armijo_backtrack(
-        h, theta, direction, grad, c=cfg.armijo_c, max_halvings=cfg.armijo_max_halvings
+        lambda points: batch_mean_values(obj, points, idx), theta, direction, grad,
+        c=cfg.armijo_c, max_halvings=cfg.armijo_max_halvings,
     )
 
 
 def unfiltered_step(obj, theta_prev, batch, cfg, t=1):
     """One batch Newton step along -Q_t^-1 f_t."""
-    obs = evaluate_batch(obj, theta_prev, batch)
+    idx = sorted_batch(obj, batch)
+    obs = evaluate_batch(obj, theta_prev, idx)
     direction = -solve_spd(obs.q, obs.f)
-    batch_sorted = np.sort(np.asarray(batch, dtype=np.intp))
-    lam = _backtrack(obj, theta_prev, direction, obs.f, batch_sorted, cfg)
-    theta_after = theta_prev + lam * direction
+    lam = _backtrack(obj, theta_prev, direction, obs.f, idx, cfg)
     return StepRecord(
         t=t,
-        theta_before=np.array(theta_prev),
-        theta_after=theta_after,
+        theta_before=theta_prev,
+        theta_after=theta_prev + lam * direction,
         direction=direction,
         step_length=lam,
-        batch=np.array(batch),
+        batch=batch,
+        newton_direction=direction,
     )
 
 
@@ -115,13 +126,16 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
 
     ``belief_prev`` of None means this is the first step, which
     initializes the belief from the batch observation and therefore
-    reproduces the unfiltered direction bit for bit. The line search
-    uses the batch gradient f_t as its gradient argument in both
-    variants, since the searched function is the batch objective.
+    takes the unfiltered direction bit for bit. The line search uses
+    the batch gradient f_t as its gradient argument in both variants,
+    since the searched function is the batch objective.
     """
-    obs = evaluate_batch(obj, theta_prev, batch)
+    idx = sorted_batch(obj, batch)
+    obs = evaluate_batch(obj, theta_prev, idx)
+    newton = -solve_spd(obs.q, obs.f)
     if belief_prev is None:
         belief = init_belief(obs)
+        direction = newton
         rho = None
         fallback = None
     else:
@@ -130,19 +144,18 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
         except FilterDivergenceError as err:
             raise FilterDivergenceError(str(err), step=t) from err
         belief = upd.belief
+        direction = -solve_spd(belief.sigma, belief.mu)
         rho = upd.momentum.rho
         fallback = upd.fallback_fired
-    direction = -solve_spd(belief.sigma, belief.mu)
-    batch_sorted = np.sort(np.asarray(batch, dtype=np.intp))
-    lam = _backtrack(obj, theta_prev, direction, obs.f, batch_sorted, cfg)
-    theta_after = theta_prev + lam * direction
+    lam = _backtrack(obj, theta_prev, direction, obs.f, idx, cfg)
     record = StepRecord(
         t=t,
-        theta_before=np.array(theta_prev),
-        theta_after=theta_after,
+        theta_before=theta_prev,
+        theta_after=theta_prev + lam * direction,
         direction=direction,
         step_length=lam,
-        batch=np.array(batch),
+        batch=batch,
+        newton_direction=newton,
         rho_m=rho,
         fallback_fired=fallback,
     )
@@ -156,7 +169,7 @@ def run(obj, theta0, cfg, rng, seed_info=""):
     step, raises StepError carrying the partial trace accumulated so
     far.
     """
-    theta = np.asarray(theta0, dtype=float)
+    theta = np.array(theta0, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("theta0 contains non-finite entries")
     trace = TrialTrace(seed_info=seed_info)

@@ -6,6 +6,7 @@ import stochnewton.experiment as experiment
 from stochnewton.experiment import (
     AngularErrorStats,
     ExperimentConfig,
+    UndefinedAngleError,
     emit_csv,
     exact_mle,
     generate_data,
@@ -209,6 +210,29 @@ def test_too_many_failures_abort(monkeypatch):
 
     monkeypatch.setattr(experiment, "_run_one_trial", always_fail)
     with pytest.raises(RuntimeError):
+        run_paired_trials(small_config(trials=10, steps=2))
+
+
+def test_undefined_angle_counts_as_a_failed_trial(monkeypatch):
+    original = experiment._run_one_trial
+
+    def degenerate(obj, theta_star, cfg, trial):
+        if trial == 5:
+            raise UndefinedAngleError("angular error is undefined for a zero vector")
+        return original(obj, theta_star, cfg, trial)
+
+    monkeypatch.setattr(experiment, "_run_one_trial", degenerate)
+    result = run_paired_trials(small_config(trials=200, steps=2))
+    assert [trial for trial, _ in result.failures] == [5]
+
+
+def test_programming_errors_in_a_trial_propagate(monkeypatch):
+    # A plain ValueError is a bug, not a numerical failure of the trial.
+    def broken(obj, theta_star, cfg, trial):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(experiment, "_run_one_trial", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
         run_paired_trials(small_config(trials=10, steps=2))
 
 

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from stochnewton.line_search import armijo_backtrack
 from stochnewton.objectives import NumericalError
 
-LINEAR = lambda th: float(th[0])
-QUADRATIC = lambda th: 0.5 * float(th[0]) ** 2
+# Objectives are applied row-wise: a (k, d) stack of points to k values.
+LINEAR = lambda th: th[:, 0]
+QUADRATIC = lambda th: 0.5 * th[:, 0] ** 2
 
 
 def test_linear_function_accepts_full_step():
@@ -32,7 +35,7 @@ def test_output_is_dyadic_and_first_accept():
         a = rng.uniform(0.1, 4.0)
         x0 = rng.standard_normal(3)
         v = -rng.standard_normal(3)
-        h = lambda th: 0.5 * a * float(th @ th)
+        h = lambda th: 0.5 * a * np.sum(th * th, axis=-1)
         m = a * x0
         lam = armijo_backtrack(h, x0, v, m)
         assert lam in allowed
@@ -48,15 +51,18 @@ def test_output_is_dyadic_and_first_accept():
 
 def test_evaluation_budget():
     calls = []
+    points = []
 
     def h(th):
-        calls.append(float(th[0]))
-        return 0.5 * float(th[0]) ** 2
+        calls.append(th.shape)
+        points.extend(th[:, 0].tolist())
+        return 0.5 * th[:, 0] ** 2
 
     armijo_backtrack(h, np.array([1.0]), np.array([-1.0]), np.array([1.0]))
-    # h(theta0) once plus at most five trial points.
-    assert len(calls) <= 6
-    assert calls[0] == 1.0
+    # One call of h on theta0 plus at most five trial points.
+    assert len(calls) == 1
+    assert len(points) <= 6
+    assert points[0] == 1.0
 
 
 def test_relaxed_constant_accepts_newton_step():
@@ -81,7 +87,27 @@ def test_more_halvings_extend_the_grid():
 
 def test_non_finite_evaluation_raises():
     def h(th):
-        return np.inf if th[0] < 1.0 else float(th[0])
+        return np.where(th[:, 0] < 1.0, np.inf, th[:, 0])
 
     with pytest.raises(NumericalError):
         armijo_backtrack(h, np.array([1.0]), np.array([-1.0]), np.array([1.0]))
+
+
+def test_non_finite_origin_raises():
+    with pytest.raises(NumericalError):
+        armijo_backtrack(lambda th: np.full(len(th), np.nan), np.array([1.0]),
+                         np.array([-1.0]), np.array([1.0]))
+
+
+def test_non_finite_candidates_after_the_accepted_one_are_ignored():
+    # The full step lands on 0 and passes; every shorter candidate lies in
+    # (0, 1), where h is nan or inf.
+    def h(th):
+        x = th[:, 0]
+        inside = (x > 0.0) & (x < 1.0)
+        return np.where(inside, np.where(x < 0.7, np.nan, np.inf), x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = armijo_backtrack(h, np.array([1.0]), np.array([-1.0]), np.array([1.0]))
+    assert lam == 1.0

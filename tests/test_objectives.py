@@ -10,8 +10,11 @@ from stochnewton.objectives import (
     GlmObjective,
     LeastSquaresData,
     LeastSquaresObjective,
+    NumericalError,
+    SubsampledObjective,
     bernoulli_family,
     bernoulli_scalar_family,
+    batch_mean_values,
     evaluate_batch,
     fisher_identity_check,
     gaussian_family,
@@ -115,23 +118,54 @@ def test_full_batch_gradient_vanishes_at_mle():
 # evaluate_batch semantics
 # ---------------------------------------------------------------------------
 
+def make_glm_objective(rng, n=40, d=3):
+    xs = rng.standard_normal((n, d))
+    ys = (rng.random(n) < 0.5).astype(float)
+    return GlmObjective(GlmData(xs=xs, ys=ys, family=bernoulli_scalar_family()))
+
+
+def make_expfam_objectives(rng, n=40):
+    return [
+        ExpFamilyObjective(bernoulli_family(), rng.integers(0, 2, size=(n, 1)).astype(float)),
+        ExpFamilyObjective(gaussian_family(2), rng.standard_normal((n, 2))),
+    ]
+
+
 def test_evaluate_batch_equals_ascending_per_sample_mean_exactly():
     rng = np.random.default_rng(5)
-    obj = make_ls_objective(rng)
-    theta = rng.standard_normal(obj.d)
-    batch = np.arange(obj.n)
-    obs = evaluate_batch(obj, theta, batch)
-    f = np.zeros(obj.d)
-    q = np.zeros((obj.d, obj.d))
-    value = 0.0
-    for j in range(obj.n):
-        v, g, h = obj.value_grad_hess(theta, j)
-        value += v
-        f += g
-        q += h
-    assert np.array_equal(obs.f, f / obj.n)
-    assert np.array_equal(obs.q, sym(q / obj.n))
-    assert obs.value == value / obj.n
+    objs = [make_ls_objective(rng), make_glm_objective(rng), *make_expfam_objectives(rng)]
+    for obj in objs:
+        theta = rng.standard_normal(obj.d)
+        batch = np.arange(obj.n)
+        obs = evaluate_batch(obj, theta, batch)
+        f = np.zeros(obj.d)
+        q = np.zeros((obj.d, obj.d))
+        value = 0.0
+        for j in range(obj.n):
+            v, g, h = obj.value_grad_hess(theta, j)
+            value += v
+            f += g
+            q += h
+        assert np.array_equal(obs.f, f / obj.n)
+        assert np.array_equal(obs.q, sym(q / obj.n))
+        assert obs.value == value / obj.n
+
+
+def test_stacked_thetas_equal_single_theta_evaluations_exactly():
+    rng = np.random.default_rng(16)
+    objs = [make_ls_objective(rng), make_glm_objective(rng), *make_expfam_objectives(rng)]
+    for obj in objs:
+        thetas = rng.standard_normal((4, obj.d))
+        for size in (1, 7, 40):
+            idx = np.sort(rng.integers(0, obj.n, size=size))
+            stacked = obj.batch_sums(thetas, idx)
+            for k, theta in enumerate(thetas):
+                for got, want in zip(stacked, obj.batch_sums(theta, idx)):
+                    assert np.array_equal(got[k], want)
+            values = batch_mean_values(obj, thetas, idx)
+            assert values.shape == (4,)
+            for k, theta in enumerate(thetas):
+                assert values[k] == evaluate_batch(obj, theta, idx).value
 
 
 def test_evaluate_batch_bit_identical_across_calls():
@@ -172,6 +206,25 @@ def test_evaluate_batch_rejects_non_finite_theta():
     obj = make_ls_objective(rng)
     with pytest.raises(ValueError):
         evaluate_batch(obj, np.array([np.nan] * obj.d), [0])
+
+
+def test_evaluate_batch_overflow_is_a_numerical_error():
+    # Runs with RuntimeWarning as an error: the overflow must not warn.
+    rng = np.random.default_rng(17)
+    xs = rng.standard_normal((10, 3))
+    gaussian_glm = GlmObjective(GlmData(xs=xs, ys=xs @ np.ones(3), family=gaussian_scalar_family()))
+    for obj in (make_ls_objective(rng), gaussian_glm):
+        with pytest.raises(NumericalError):
+            evaluate_batch(obj, np.full(obj.d, 1e200), [0, 1])
+
+
+def test_objective_without_a_kernel_is_not_implemented():
+    class Bare(SubsampledObjective):
+        n = 2
+        d = 1
+
+    with pytest.raises(NotImplementedError):
+        evaluate_batch(Bare(), np.zeros(1), [0])
 
 
 def test_batch_hessian_psd_before_regularization():

@@ -170,6 +170,7 @@ def test_recursion_identity_along_filtered_run():
             rhs = upd.q_inv_effective @ obs.f + upd.momentum.m @ (-prev_direction)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1.0, np.linalg.norm(lhs))
         assert np.array_equal(rec.direction, -solve_spd(belief.sigma, belief.mu))
+        assert np.array_equal(rec.newton_direction, -solve_spd(obs.q, obs.f))
         prev_direction = rec.direction
 
 
