@@ -156,8 +156,8 @@ def signed_angular_error(direction, theta_current, theta_star):
     """
     direction = np.asarray(direction, dtype=float)
     optimal = np.asarray(theta_star, dtype=float) - np.asarray(theta_current, dtype=float)
-    norm_d = float(np.linalg.norm(direction))
-    norm_o = float(np.linalg.norm(optimal))
+    norm_d = math.sqrt(direction.dot(direction))
+    norm_o = math.sqrt(optimal.dot(optimal))
     if norm_d == 0.0 or norm_o == 0.0:
         raise UndefinedAngleError("angular error is undefined for a zero vector")
     if direction.shape[0] == 2:

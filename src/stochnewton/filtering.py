@@ -27,8 +27,8 @@ alpha * Lam_max < alpha^2 * Lam_min + beta on eigenvalue bounds for the
 Sigma_t sequence.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -96,10 +96,26 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Posterior N(mu, sigma) over the latent full-objective gradient."""
+    """Posterior N(mu, sigma) over the latent full-objective gradient.
+
+    ``sigma_factor`` is the lower Cholesky factor of ``sigma``, kept
+    from the PD check of the update so that the step direction needs no
+    second factorization. When it is not given it is computed from
+    ``sigma``, and a ``sigma`` that is not PD raises
+    PositiveDefiniteError.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
+    sigma_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.sigma_factor is None:
+            object.__setattr__(self, "sigma_factor", cholesky(self.sigma))
+
+    def direction(self):
+        """The filtered step direction -sigma^-1 mu."""
+        return -cholesky_solve(self.sigma_factor, self.mu)
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,8 @@ class DkfUpdate(NamedTuple):
 def init_belief(obs):
     """Belief after the first batch: mu = f_1, sigma = Q_1."""
     return GaussianBelief(mu=np.array(obs.f, dtype=float),
-                          sigma=np.array(obs.q, dtype=float))
+                          sigma=np.array(obs.q, dtype=float),
+                          sigma_factor=obs.q_factor)
 
 
 def momentum_matrix(cfg, sigma_prev):
@@ -149,20 +166,21 @@ def dkf_update_info(cfg, prev, obs):
         raise ValueError(f"observation dimensions do not match dim={d}")
 
     eye = np.eye(d)
-    s_inv = 1.0 / cfg.s_scalar
+    s_inv = (1.0 / cfg.s_scalar) * eye
     r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * eye)
-    q_inv = sym(cholesky_solve(cholesky(obs.q), eye))
+    q_inv = sym(cholesky_solve(obs.q_factor, eye))
     r_inv = sym(cholesky_solve(cholesky(r), eye))
 
-    fallback = not is_pd(q_inv - s_inv * eye)
-    q_inv_eff = q_inv + s_inv * eye if fallback else q_inv
+    fallback = not is_pd(q_inv - s_inv)
+    q_inv_eff = q_inv + s_inv if fallback else q_inv
 
-    precision = sym(q_inv_eff + r_inv - s_inv * eye)
+    precision = sym(q_inv_eff + r_inv - s_inv)
     factor = try_cholesky(precision)
     if factor is None:
         raise FilterDivergenceError("posterior precision is not positive definite")
     sigma = sym(cholesky_solve(factor, eye))
-    if try_cholesky(sigma) is None:
+    sigma_factor = try_cholesky(sigma)
+    if sigma_factor is None:
         raise FilterDivergenceError("posterior covariance is not positive definite")
     rhs = q_inv_eff @ obs.f + cfg.alpha * (r_inv @ mu_prev)
     mu = cholesky_solve(factor, rhs)
@@ -171,7 +189,7 @@ def dkf_update_info(cfg, prev, obs):
     # of one product plus its norm.
     m = cfg.alpha * (r_inv @ sigma_prev)
     return DkfUpdate(
-        belief=GaussianBelief(mu=mu, sigma=sigma),
+        belief=GaussianBelief(mu=mu, sigma=sigma, sigma_factor=sigma_factor),
         fallback_fired=fallback,
         q_inv_effective=q_inv_eff,
         momentum=MomentumMatrix(m=m, rho=spectral_norm(m)),

@@ -11,6 +11,8 @@ arithmetic should be passed through ``sym`` so that covariances stay
 exactly symmetric over long filter recursions.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import lapack
 
@@ -46,7 +48,7 @@ def pd_tolerance(m):
     larger scales get proportionally looser ones.
     """
     d = m.shape[0]
-    return 1e-12 * (1.0 + float(m.diagonal().sum()) / d)
+    return 1e-12 * (1.0 + float(np.add.reduce(m.diagonal())) / d)
 
 
 def _as_square(m, name="matrix"):
@@ -55,7 +57,7 @@ def _as_square(m, name="matrix"):
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     # A finite sum certifies that every entry is finite (inf or nan
     # anywhere propagates into the total).
-    if not np.isfinite(m.sum()):
+    if not math.isfinite(np.add.reduce(m, axis=None)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -71,8 +73,11 @@ def try_cholesky(m):
     c, info = lapack.dpotrf(m, lower=1, clean=1)
     if info != 0:
         return None
-    piv = c.diagonal()
-    if not ((piv * piv) > pd_tolerance(m)).all():
+    # The pivots are positive here, so the smallest one decides; it is
+    # compared as a Python float, because at the small d this library
+    # targets numpy's per-call overhead would dominate.
+    piv = min(c.diagonal().tolist())
+    if not piv * piv > pd_tolerance(m):
         return None
     return c
 

@@ -15,19 +15,20 @@ value, gradient and Hessian at every index of a batch at once, for one
 theta of shape (d,) or a stack of k thetas of shape (k, d).
 ``SubsampledObjective.batch_sums`` adds the rows up in ascending index
 order with a sequential reduction (never BLAS or numpy's pairwise
-summation; see ``_sequential_sum``), so a batch sum is a pure function
+summation; see ``_sequential_sums``), so a batch sum is a pure function
 of theta and the batch multiset, equal bit for bit to adding the
 per-sample terms one at a time, whatever the caller or thread count.
 Per-sample ``value_grad_hess`` is the one-index case of the same kernel.
 """
 
-from dataclasses import dataclass
-from typing import Callable
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .linalg import PositiveDefiniteError, sym, try_cholesky
+from .linalg import PositiveDefiniteError, cholesky, cholesky_solve, sym, try_cholesky
 
 __all__ = [
     "NumericalError",
@@ -70,11 +71,26 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class BatchObservation:
     """Batch-mean gradient ``f``, regularized SPD batch-mean Hessian ``q``,
-    and batch-mean objective value for one mini-batch."""
+    and batch-mean objective value for one mini-batch.
+
+    ``q_factor`` is the lower Cholesky factor of ``q``, so that the
+    Newton solve and the filter reuse the factorization that certified
+    ``q`` as PD. When it is not given it is computed from ``q``, and a
+    ``q`` that is not PD raises PositiveDefiniteError.
+    """
 
     f: np.ndarray
     q: np.ndarray
     value: float
+    q_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.q_factor is None:
+            object.__setattr__(self, "q_factor", cholesky(self.q))
+
+    def newton_direction(self):
+        """The batch Newton direction -q^-1 f."""
+        return -cholesky_solve(self.q_factor, self.f)
 
 
 def sample_batch(rng, n, size):
@@ -86,23 +102,36 @@ def sample_batch(rng, n, size):
     return rng.integers(0, n, size=size)
 
 
-def _sequential_sum(rows, axis):
-    """Sum of ``rows`` along ``axis``, adding the slices strictly in order.
+def _sequential_sums(parts, axis):
+    """Sum of each array in ``parts`` along ``axis``, adding the slices strictly in order.
 
-    With the summed axis first and the other axes flattened into m > 1
-    contiguous columns, ``np.add.reduce`` adds one whole row at a time
-    into the running total, which is a sequential sum in every column.
+    Every part is laid out with the summed axis first and its other axes
+    flattened into columns, and the parts are placed side by side in one
+    C-contiguous (b, m) block. With m > 1 columns, ``np.add.reduce``
+    adds one whole row at a time into the running total, which is a
+    sequential sum in every column, so one reduction serves all parts.
     With a single column numpy would switch to pairwise summation, so
     that case goes through ``np.add.accumulate`` instead.
     """
     if axis:
-        rows = rows.swapaxes(0, axis)
-    if rows.ndim == 1:
-        return np.add.accumulate(rows)[-1]
-    flat = np.ascontiguousarray(rows).reshape(rows.shape[0], -1)
+        parts = [p.swapaxes(0, axis) for p in parts]
+    b = parts[0].shape[0]
+    cols = [p.reshape(b, -1) for p in parts]
+    widths = [c.shape[1] for c in cols]
+    # np.concatenate would follow the layout of its inputs, which is
+    # column-major for swapped stacks; the sum needs row-major.
+    flat = np.empty((b, sum(widths)))
+    np.concatenate(cols, axis=1, out=flat)
     if flat.shape[1] == 1:
-        return np.add.accumulate(flat[:, 0])[-1].reshape(rows.shape[1:])
-    return np.add.reduce(flat, axis=0).reshape(rows.shape[1:])
+        total = np.add.accumulate(flat[:, 0])[-1:]
+    else:
+        total = np.add.reduce(flat, axis=0)
+    sums = []
+    start = 0
+    for p, width in zip(parts, widths):
+        sums.append(total[start:start + width].reshape(p.shape[1:]))
+        start += width
+    return tuple(sums)
 
 
 class SubsampledObjective:
@@ -146,8 +175,7 @@ class SubsampledObjective:
         theta = np.asarray(theta, dtype=float)
         axis = theta.ndim - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = self.row_terms(theta, idx, derivatives)
-            return tuple(_sequential_sum(r, axis) for r in rows)
+            return _sequential_sums(self.row_terms(theta, idx, derivatives), axis)
 
     def value_grad_hess(self, theta, j):
         """Per-sample (log g_j(theta), gradient, Hessian)."""
@@ -168,17 +196,20 @@ def _regularize_hessian(q):
     """Ridge an almost-PSD batch Hessian until Cholesky succeeds.
 
     Adds eps*I with eps = 1e-8 * (1 + trace(q)/d), doubling eps up to
-    ten times before giving up.
+    ten times before giving up. Returns the matrix and its lower
+    Cholesky factor.
     """
-    if try_cholesky(q) is not None:
-        return q
+    factor = try_cholesky(q)
+    if factor is not None:
+        return q, factor
     d = q.shape[0]
     eps = 1e-8 * (1.0 + float(np.trace(q)) / d)
     eye = np.eye(d)
     for _ in range(10):
         candidate = q + eps * eye
-        if try_cholesky(candidate) is not None:
-            return candidate
+        factor = try_cholesky(candidate)
+        if factor is not None:
+            return candidate, factor
         eps *= 2.0
     raise PositiveDefiniteError(
         "batch Hessian is not positive definite even after ridge regularization"
@@ -209,11 +240,11 @@ def evaluate_batch(obj, theta, batch):
         raise ValueError("theta contains non-finite entries")
     idx = sorted_batch(obj, batch)
     value, f, q = obj.batch_sums(theta, idx)
-    if not (np.isfinite(value) and np.isfinite(f).all() and np.isfinite(q).all()):
+    if not (math.isfinite(value) and np.isfinite(f).all() and np.isfinite(q).all()):
         raise NumericalError("non-finite batch evaluation", theta=theta)
     size = float(idx.size)
-    return BatchObservation(f=f / size, q=_regularize_hessian(sym(q / size)),
-                            value=float(value) / size)
+    q, q_factor = _regularize_hessian(sym(q / size))
+    return BatchObservation(f=f / size, q=q, value=float(value) / size, q_factor=q_factor)
 
 
 def batch_mean_values(obj, thetas, idx):
@@ -293,7 +324,7 @@ class LeastSquaresObjective(SubsampledObjective):
         value = 0.5 * r * r
         if not derivatives:
             return (value,)
-        outers = np.einsum("bi,bj->bij", xs, xs)
+        outers = xs[:, :, None] * xs[:, None, :]
         if r.ndim == 2:
             outers = np.broadcast_to(outers, r.shape + outers.shape[1:])
         return value, xs * r[..., None], outers
@@ -478,7 +509,7 @@ class GlmObjective(SubsampledObjective):
             return (value,)
         mean = np.asarray(fam.a_prime(eta), dtype=float)
         var = np.asarray(fam.a_double_prime(eta), dtype=float)
-        outers = np.einsum("bi,bj->bij", xs, xs)
+        outers = xs[:, :, None] * xs[:, None, :]
         return value, xs * (mean - t_ys)[..., None], outers * var[..., None, None]
 
 

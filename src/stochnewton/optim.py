@@ -15,7 +15,7 @@ import numpy as np
 
 from . import line_search
 from .filtering import FilterConfig, FilterDivergenceError, dkf_update_info, init_belief
-from .linalg import PositiveDefiniteError, solve_spd
+from .linalg import PositiveDefiniteError
 from .objectives import (
     NumericalError,
     batch_mean_values,
@@ -108,7 +108,7 @@ def unfiltered_step(obj, theta_prev, batch, cfg, t=1):
     """One batch Newton step along -Q_t^-1 f_t."""
     idx = sorted_batch(obj, batch)
     obs = evaluate_batch(obj, theta_prev, idx)
-    direction = -solve_spd(obs.q, obs.f)
+    direction = obs.newton_direction()
     lam = _backtrack(obj, theta_prev, direction, obs.f, idx, cfg)
     return StepRecord(
         t=t,
@@ -132,7 +132,7 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
     """
     idx = sorted_batch(obj, batch)
     obs = evaluate_batch(obj, theta_prev, idx)
-    newton = -solve_spd(obs.q, obs.f)
+    newton = obs.newton_direction()
     if belief_prev is None:
         belief = init_belief(obs)
         direction = newton
@@ -144,7 +144,7 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
         except FilterDivergenceError as err:
             raise FilterDivergenceError(str(err), step=t) from err
         belief = upd.belief
-        direction = -solve_spd(belief.sigma, belief.mu)
+        direction = belief.direction()
         rho = upd.momentum.rho
         fallback = upd.fallback_fired
     lam = _backtrack(obj, theta_prev, direction, obs.f, idx, cfg)

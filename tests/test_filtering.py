@@ -13,7 +13,7 @@ from stochnewton.filtering import (
     momentum_matrix,
     unrolled_direction,
 )
-from stochnewton.linalg import eig_extremes, solve_spd, spectral_norm
+from stochnewton.linalg import PositiveDefiniteError, cholesky, eig_extremes, solve_spd, spectral_norm
 from stochnewton.objectives import BatchObservation
 
 from helpers import random_spd
@@ -109,6 +109,22 @@ def test_stationary_prior_matrix_case():
     prev = GaussianBelief(mu=np.zeros(3), sigma=s * np.eye(3))
     out = dkf_update(cfg, prev, obs(np.zeros(3), q))
     assert np.max(np.abs(out.sigma - q)) <= 1e-12
+
+
+def test_belief_carries_the_cholesky_factor_of_sigma():
+    rng = np.random.default_rng(5)
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=3)
+    first = random_obs(rng, 3)
+    belief = init_belief(first)
+    assert np.array_equal(belief.sigma_factor, first.q_factor)
+    for _ in range(5):
+        belief = dkf_update(cfg, belief, random_obs(rng, 3))
+        assert np.array_equal(belief.sigma_factor, cholesky(belief.sigma))
+        assert np.array_equal(belief.direction(), -solve_spd(belief.sigma, belief.mu))
+    given = GaussianBelief(mu=belief.mu, sigma=belief.sigma)
+    assert np.array_equal(given.sigma_factor, belief.sigma_factor)
+    with pytest.raises(PositiveDefiniteError):
+        GaussianBelief(mu=np.zeros(2), sigma=np.diag([1.0, 0.0]))
 
 
 def test_update_matches_density_multiplication_oracle():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stochnewton.linalg import eig_extremes, is_pd, sym
+from stochnewton.linalg import PositiveDefiniteError, cholesky, eig_extremes, is_pd, solve_spd, sym
 from stochnewton.objectives import (
+    BatchObservation,
     ExpFamily,
     ExpFamilyObjective,
     GlmData,
@@ -225,6 +226,21 @@ def test_objective_without_a_kernel_is_not_implemented():
 
     with pytest.raises(NotImplementedError):
         evaluate_batch(Bare(), np.zeros(1), [0])
+
+
+def test_observation_carries_the_cholesky_factor_of_q():
+    rng = np.random.default_rng(11)
+    obj = make_ls_objective(rng)
+    theta = rng.standard_normal(obj.d)
+    # One sample gives a rank-one Hessian, which takes the ridge path.
+    for batch in ([3], [0, 5, 5, 9, 17, 30]):
+        obs = evaluate_batch(obj, theta, batch)
+        assert np.array_equal(obs.q_factor, cholesky(obs.q))
+    given = BatchObservation(f=obs.f, q=obs.q, value=obs.value)
+    assert np.array_equal(given.q_factor, obs.q_factor)
+    assert np.array_equal(given.newton_direction(), -solve_spd(obs.q, obs.f))
+    with pytest.raises(PositiveDefiniteError):
+        BatchObservation(f=np.zeros(2), q=np.diag([1.0, -1.0]), value=0.0)
 
 
 def test_batch_hessian_psd_before_regularization():
