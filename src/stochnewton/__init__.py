@@ -17,6 +17,7 @@ from .filtering import (
     check_contraction_bound,
     dkf_update,
     dkf_update_info,
+    dkf_updates,
     init_belief,
     momentum_matrix,
     unrolled_direction,
@@ -27,9 +28,10 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     MethodCurves,
-    PairedTrace,
     RhoMonitorSummary,
+    TooManyFailuresError,
     UndefinedAngleError,
+    angular_errors,
     emit_csv,
     exact_mle,
     generate_data,
@@ -37,16 +39,15 @@ from .experiment import (
     run_paired_trials,
     signed_angular_error,
 )
-from .line_search import armijo_backtrack
+from .line_search import armijo_backtrack, armijo_search
 from .linalg import (
     PositiveDefiniteError,
-    assert_pd,
     cholesky,
-    eig_extremes,
-    inverse_spd,
-    is_pd,
+    cholesky_factors,
+    cholesky_solve,
     solve_spd,
     spectral_norm,
+    spectral_norms,
     sym,
     try_cholesky,
 )
@@ -66,6 +67,7 @@ from .objectives import (
     batch_mean_values,
     bernoulli_scalar_family,
     evaluate_batch,
+    evaluate_batches,
     fisher_identity_check,
     gaussian_family,
     gaussian_scalar_family,
@@ -74,13 +76,15 @@ from .objectives import (
 )
 from .optim import (
     OptimizerConfig,
+    StackedTrace,
     StepError,
     StepRecord,
     TrialTrace,
     filtered_step,
     run,
+    run_trials,
     unfiltered_step,
 )
-from .streams import BATCH_STREAM, DATA_STREAM, derive_stream, stream_key
+from .streams import BATCH_STREAM, DATA_STREAM, derive_stream
 
 __version__ = "0.1.0"

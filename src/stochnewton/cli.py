@@ -16,6 +16,7 @@ import numpy as np
 
 from .experiment import (
     ExperimentConfig,
+    TooManyFailuresError,
     emit_csv,
     rho_monitor_summary,
     run_paired_trials,
@@ -84,7 +85,7 @@ def _cmd_run_paired(args):
     for i in range(head):
         print(f"{i + 1:4d}  {result.stats.mse_unfiltered[i]:14.6f}  "
               f"{result.stats.mse_filtered[i]:12.6f}")
-    monitor = rho_monitor_summary([p.filtered for p in result.traces])
+    monitor = rho_monitor_summary(result.filtered.rho)
     late = monitor.step_max[monitor.min_step:]
     if late.size and not np.isnan(late).all():
         print(f"max rho(M_t) for t > {monitor.min_step}: {np.nanmax(late):.6f} "
@@ -137,7 +138,9 @@ def build_parser():
     rp = sub.add_parser("run-paired", help="run the paired benchmark and write CSV")
     _add_problem_flags(rp)
     rp.add_argument("--out", default="paired", help="output path prefix (default 'paired')")
-    rp.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    rp.add_argument("--workers", type=int, default=1,
+                    help="contiguous stacks the trials are split into, run one after "
+                         "another; the output does not depend on it (default 1)")
     rp.set_defaults(func=_cmd_run_paired)
 
     cp = sub.add_parser("check-prop1", help="evaluate the momentum contraction bound")
@@ -163,7 +166,7 @@ def main(argv=None):
         print(f"input error: {err}", file=sys.stderr)
         return 1
     except (PositiveDefiniteError, NumericalError, FilterDivergenceError,
-            StepError, RuntimeError) as err:
+            StepError, TooManyFailuresError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 

@@ -16,10 +16,15 @@ direction at the filtered iterate on the same batch, which each filtered
 step records, so the two methods are compared on the same footing; the
 unfiltered method's own trajectory is still what feeds its convergence
 curves.
+
+All trials of a seed run in lockstep: each trial's batches are drawn up
+front, once, and both methods run the whole stack of trials on them
+through ``optim.run_trials``, so every layer of a step is one numpy
+call over all trials. The steps come back as arrays, and the statistics
+are formed from those arrays in trial order.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -27,20 +32,21 @@ import numpy as np
 
 from .filtering import FilterConfig
 from .linalg import PositiveDefiniteError, solve_spd, sym
-from .objectives import LeastSquaresData, LeastSquaresObjective
-from .optim import OptimizerConfig, StepError, TrialTrace, run
-from .streams import BATCH_STREAM, DATA_STREAM, derive_stream, stream_key
+from .objectives import LeastSquaresData, LeastSquaresObjective, sample_batch
+from .optim import OptimizerConfig, StackedTrace, StepError, run_trials
+from .streams import BATCH_STREAM, DATA_STREAM, derive_stream
 
 __all__ = [
     "ExperimentConfig",
     "AngularErrorStats",
     "MethodCurves",
     "AggregateCurves",
-    "PairedTrace",
     "ExperimentResult",
+    "TooManyFailuresError",
     "generate_data",
     "exact_mle",
     "UndefinedAngleError",
+    "angular_errors",
     "signed_angular_error",
     "run_paired_trials",
     "RhoMonitorSummary",
@@ -147,6 +153,30 @@ class UndefinedAngleError(ValueError):
     """An angular error was asked for with an exactly zero vector."""
 
 
+_UNDEFINED_ANGLE = "angular error is undefined for a zero vector"
+
+
+def angular_errors(directions, theta_current, theta_star):
+    """``signed_angular_error`` for stacks of directions and iterates (..., d).
+
+    Returns ``(angles, defined)``; ``defined`` is False where either
+    vector is exactly zero, and the angle there is not meaningful. The
+    stacks may hold the leftovers of failed trials, so no overflow or
+    invalid value warns.
+    """
+    directions = np.asarray(directions, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        optimal = np.asarray(theta_star, dtype=float) - np.asarray(theta_current, dtype=float)
+        norm_d = np.sqrt(np.vecdot(directions, directions))
+        norm_o = np.sqrt(np.vecdot(optimal, optimal))
+        defined = (norm_d != 0.0) & (norm_o != 0.0)
+        if directions.shape[-1] == 2:
+            cross = optimal[..., 0] * directions[..., 1] - optimal[..., 1] * directions[..., 0]
+            return np.arctan2(cross, np.vecdot(optimal, directions)), defined
+        cos = np.vecdot(optimal, directions) / (norm_d * norm_o)
+        return np.arccos(np.clip(cos, -1.0, 1.0)), defined
+
+
 def signed_angular_error(direction, theta_current, theta_star):
     """Plane angle from the optimal direction (theta_star - theta_current) to ``direction``.
 
@@ -154,17 +184,11 @@ def signed_angular_error(direction, theta_current, theta_star):
     unsigned via the cosine otherwise. Raises UndefinedAngleError (a
     ValueError) when either vector is exactly zero.
     """
-    direction = np.asarray(direction, dtype=float)
-    optimal = np.asarray(theta_star, dtype=float) - np.asarray(theta_current, dtype=float)
-    norm_d = math.sqrt(direction.dot(direction))
-    norm_o = math.sqrt(optimal.dot(optimal))
-    if norm_d == 0.0 or norm_o == 0.0:
-        raise UndefinedAngleError("angular error is undefined for a zero vector")
-    if direction.shape[0] == 2:
-        cross = optimal[0] * direction[1] - optimal[1] * direction[0]
-        return float(np.arctan2(cross, np.dot(optimal, direction)))
-    cos = np.dot(optimal, direction) / (norm_d * norm_o)
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    angles, defined = angular_errors(np.asarray(direction, dtype=float)[None],
+                                     np.asarray(theta_current, dtype=float)[None], theta_star)
+    if not defined[0]:
+        raise UndefinedAngleError(_UNDEFINED_ANGLE)
+    return float(angles[0])
 
 
 @dataclass(frozen=True)
@@ -231,75 +255,67 @@ class AggregateCurves:
         return self.unfiltered.mean_dist.shape[0]
 
 
-@dataclass(frozen=True)
-class PairedTrace:
-    trial: int
-    unfiltered: TrialTrace
-    filtered: TrialTrace
+class TooManyFailuresError(RuntimeError):
+    """More than 1% of a benchmark's trials failed numerically."""
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Outcome of a paired benchmark.
+
+    ``trials`` (K,) holds the indices of the trials kept, ascending, and
+    ``batches`` (K, steps, batch_size) their batches as drawn, which
+    both methods consumed. ``unfiltered`` and ``filtered`` hold the
+    steps of the kept trials under either method, in the same order.
+    """
+
     config: ExperimentConfig
     stats: AngularErrorStats
     curves: AggregateCurves
-    traces: List[PairedTrace]
+    trials: np.ndarray
+    batches: np.ndarray
+    unfiltered: StackedTrace
+    filtered: StackedTrace
     failures: List[Tuple[int, str]]
     theta_star: np.ndarray
     data: LeastSquaresData
 
 
-@dataclass(frozen=True)
-class _TrialOutcome:
-    paired: PairedTrace
-    ang_unfiltered: np.ndarray
-    ang_filtered: np.ndarray
-    dist: np.ndarray          # (2, steps): row 0 unfiltered, row 1 filtered
-    obj: np.ndarray
-    disp: np.ndarray
-    rho: np.ndarray           # (steps,), nan where undefined
+# Residual entries held at once while the objective curves are formed.
+_RESIDUAL_BUDGET = 1 << 17
 
 
-def _trace_curves(trace, theta_star, obj):
-    thetas = np.array([rec.theta_after for rec in trace.records])
-    befores = np.array([rec.theta_before for rec in trace.records])
-    dist = np.linalg.norm(thetas - theta_star, axis=1)
-    disp = np.linalg.norm(thetas - befores, axis=1)
-    residuals = thetas @ obj.data.xs.T - obj.data.ys
-    objv = 0.5 * np.mean(residuals * residuals, axis=1)
+def _draw_batches(cfg):
+    """Every trial's batches, (trials, steps, batch_size), each from its own stream.
+
+    One draw of steps * batch_size indices per trial gives the same
+    indices as one draw per step.
+    """
+    size = cfg.steps * cfg.batch_size
+    draws = [sample_batch(derive_stream(cfg.master_seed, BATCH_STREAM, trial), cfg.n, size)
+             for trial in range(cfg.trials)]
+    return np.stack(draws).reshape(cfg.trials, cfg.steps, cfg.batch_size)
+
+
+def _trajectory_curves(trace, theta_star, obj):
+    """Per-trial distance to the optimum, objective and displacement after each step."""
+    after = trace.thetas[:, 1:]
+    dist = np.linalg.norm(after - theta_star, axis=-1)
+    disp = np.linalg.norm(after - trace.thetas[:, :-1], axis=-1)
+    objv = np.empty(dist.shape)
+    chunk = max(1, _RESIDUAL_BUDGET // (after.shape[1] * obj.n))
+    for start in range(0, len(after), chunk):
+        residuals = after[start:start + chunk] @ obj.data.xs.T - obj.data.ys
+        objv[start:start + chunk] = 0.5 * np.mean(residuals * residuals, axis=-1)
     return dist, objv, disp
 
 
-def _run_one_trial(obj, theta_star, cfg, trial):
-    info = stream_key(cfg.master_seed, BATCH_STREAM, trial)
-    rng_filtered = derive_stream(cfg.master_seed, BATCH_STREAM, trial)
-    rng_unfiltered = derive_stream(cfg.master_seed, BATCH_STREAM, trial)
-    filtered = run(obj, cfg.theta0, cfg.optimizer_config(filtered=True),
-                   rng_filtered, seed_info=info)
-    unfiltered = run(obj, cfg.theta0, cfg.optimizer_config(filtered=False),
-                     rng_unfiltered, seed_info=info)
-
-    steps = cfg.steps
-    ang_f = np.empty(steps)
-    ang_u = np.empty(steps)
-    rho = np.full(steps, np.nan)
-    for i, rec in enumerate(filtered.records):
-        ang_f[i] = signed_angular_error(rec.direction, rec.theta_before, theta_star)
-        ang_u[i] = signed_angular_error(rec.newton_direction, rec.theta_before, theta_star)
-        if rec.rho_m is not None:
-            rho[i] = rec.rho_m
-
-    dist_u, obj_u, disp_u = _trace_curves(unfiltered, theta_star, obj)
-    dist_f, obj_f, disp_f = _trace_curves(filtered, theta_star, obj)
-    return _TrialOutcome(
-        paired=PairedTrace(trial=trial, unfiltered=unfiltered, filtered=filtered),
-        ang_unfiltered=ang_u,
-        ang_filtered=ang_f,
-        dist=np.stack([dist_u, dist_f]),
-        obj=np.stack([obj_u, obj_f]),
-        disp=np.stack([disp_u, disp_f]),
-        rho=rho,
-    )
+def _failure_message(trial, traces):
+    for trace in traces:
+        if trace.failed_step[trial]:
+            err = StepError(int(trace.failed_step[trial]), None)
+            return f"{type(err).__name__}: {err}"
+    return f"{UndefinedAngleError.__name__}: {_UNDEFINED_ANGLE}"
 
 
 def _mean_sd(mat):
@@ -309,51 +325,50 @@ def _mean_sd(mat):
 def run_paired_trials(cfg, workers=1):
     """Run the full paired benchmark described by ``cfg``.
 
-    Trials may be executed by a pool of worker threads; every trial owns
-    streams derived from (master_seed, trial index), and aggregation
-    folds outcomes in trial order, so the result is a pure function of
-    the configuration at any worker count. Trials that fail numerically
-    are excluded and counted; more than 1% failures aborts the
-    experiment.
+    Every trial's batches are drawn up front from a stream derived from
+    (master_seed, trial index), and each method runs all trials in
+    lockstep on them (``optim.run_trials``), split into ``workers``
+    contiguous stacks of trials that run one after another. A trial's
+    numbers depend only on its own stream, so the result is a pure
+    function of the configuration at any stack count. Trials that fail
+    numerically, or whose angular error is undefined at some step, are
+    excluded and counted; more than 1% failures aborts the experiment
+    with TooManyFailuresError.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     data = generate_data(cfg, derive_stream(cfg.master_seed, DATA_STREAM))
     theta_star = exact_mle(data)
     obj = LeastSquaresObjective(data)
+    batches = _draw_batches(cfg)
+    stacks = [part for part in np.array_split(batches, workers) if len(part)]
+    unfiltered, filtered = (
+        StackedTrace.concatenate([run_trials(obj, cfg.theta0, part, cfg.optimizer_config(method))
+                                  for part in stacks])
+        for method in (False, True)
+    )
 
-    def attempt(trial):
-        try:
-            return trial, _run_one_trial(obj, theta_star, cfg, trial), None
-        except (StepError, UndefinedAngleError) as err:
-            return trial, None, f"{type(err).__name__}: {err}"
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            attempts = list(pool.map(attempt, range(cfg.trials)))
-    else:
-        attempts = [attempt(trial) for trial in range(cfg.trials)]
-
-    outcomes = []
-    failures = []
-    for trial, outcome, message in attempts:
-        if outcome is None:
-            failures.append((trial, message))
-        else:
-            outcomes.append(outcome)
+    # Following the paired design, both angles are taken at the filtered
+    # iterate: the unfiltered one of the batch Newton direction there.
+    befores = filtered.thetas[:, :-1]
+    ang_f, defined_f = angular_errors(filtered.directions, befores, theta_star)
+    ang_u, defined_u = angular_errors(filtered.newton_directions, befores, theta_star)
+    failed = ((filtered.failed_step > 0) | (unfiltered.failed_step > 0)
+              | ~(defined_f & defined_u).all(axis=1))
+    failures = [(int(trial), _failure_message(trial, (filtered, unfiltered)))
+                for trial in np.flatnonzero(failed)]
     if len(failures) > 0.01 * cfg.trials:
-        raise RuntimeError(
+        raise TooManyFailuresError(
             f"{len(failures)} of {cfg.trials} trials failed numerically: "
             f"{failures[:3]}..."
         )
 
-    stats = AngularErrorStats.from_errors(
-        np.stack([o.ang_unfiltered for o in outcomes]),
-        np.stack([o.ang_filtered for o in outcomes]),
-    )
-
-    dist = np.stack([o.dist for o in outcomes])     # (T, 2, steps)
-    objv = np.stack([o.obj for o in outcomes])
-    disp = np.stack([o.disp for o in outcomes])
-    rho = np.stack([o.rho for o in outcomes])       # (T, steps)
+    keep = ~failed
+    unfiltered, filtered = unfiltered.select(keep), filtered.select(keep)
+    stats = AngularErrorStats.from_errors(ang_u[keep], ang_f[keep])
+    curves_u = _trajectory_curves(unfiltered, theta_star, obj)
+    curves_f = _trajectory_curves(filtered, theta_star, obj)
+    rho = filtered.rho
 
     mean_rho = np.full(cfg.steps, np.nan)
     max_rho = np.full(cfg.steps, np.nan)
@@ -362,10 +377,11 @@ def run_paired_trials(cfg, workers=1):
         mean_rho[defined] = rho[:, defined].mean(axis=0)
         max_rho[defined] = rho[:, defined].max(axis=0)
 
-    def method_curves(k, with_rho):
-        mean_dist, sd_dist = _mean_sd(dist[:, k])
-        mean_obj, sd_obj = _mean_sd(objv[:, k])
-        mean_disp, sd_disp = _mean_sd(disp[:, k])
+    def method_curves(trajectory, with_rho):
+        dist, objv, disp = trajectory
+        mean_dist, sd_dist = _mean_sd(dist)
+        mean_obj, sd_obj = _mean_sd(objv)
+        mean_disp, sd_disp = _mean_sd(disp)
         return MethodCurves(
             mean_dist=mean_dist,
             sd_dist=sd_dist,
@@ -378,14 +394,17 @@ def run_paired_trials(cfg, workers=1):
         )
 
     curves = AggregateCurves(
-        unfiltered=method_curves(0, with_rho=False),
-        filtered=method_curves(1, with_rho=True),
+        unfiltered=method_curves(curves_u, with_rho=False),
+        filtered=method_curves(curves_f, with_rho=True),
     )
     return ExperimentResult(
         config=cfg,
         stats=stats,
         curves=curves,
-        traces=[o.paired for o in outcomes],
+        trials=np.flatnonzero(keep),
+        batches=batches[keep],
+        unfiltered=unfiltered,
+        filtered=filtered,
         failures=failures,
         theta_star=theta_star,
         data=data,
@@ -403,24 +422,25 @@ class RhoMonitorSummary:
 
 
 def rho_monitor_summary(traces, threshold=0.8, min_step=5):
-    """Max rho(M_t) per step over filtered traces, flagging late violations.
+    """Max rho(M_t) per step over filtered runs, flagging late violations.
 
-    A step t > min_step is flagged when its maximum reaches the
-    threshold. Steps with no momentum matrix (the first step) hold nan
-    and are never flagged.
+    ``traces`` is a list of filtered TrialTraces, or the (trials, steps)
+    array of their rho_m values with nan where there is none, as in
+    ``StackedTrace.rho``. A step t > min_step is flagged when its
+    maximum reaches the threshold. Steps with no momentum matrix (the
+    first step) hold nan and are never flagged.
     """
-    traces = list(traces)
-    if not traces:
-        return RhoMonitorSummary(
-            step_max=np.empty(0), threshold=threshold, min_step=min_step, violations=[]
-        )
-    steps = max(len(tr.records) for tr in traces)
-    step_max = np.full(steps, np.nan)
-    for tr in traces:
-        for i, rec in enumerate(tr.records):
-            if rec.rho_m is not None:
-                if np.isnan(step_max[i]) or rec.rho_m > step_max[i]:
-                    step_max[i] = rec.rho_m
+    if isinstance(traces, np.ndarray):
+        rho = traces
+    else:
+        traces = list(traces)
+        rho = np.full((len(traces), max((len(tr.records) for tr in traces), default=0)), np.nan)
+        for k, tr in enumerate(traces):
+            for i, rec in enumerate(tr.records):
+                if rec.rho_m is not None:
+                    rho[k, i] = rec.rho_m
+    step_max = np.fmax.reduce(rho, axis=0, initial=np.nan)
+    steps = step_max.shape[0]
     violations = [
         t for t in range(min_step + 1, steps + 1)
         if not np.isnan(step_max[t - 1]) and step_max[t - 1] >= threshold

@@ -25,6 +25,12 @@ spectral norm of M_t below one makes old batches decay exponentially;
 ``check_contraction_bound`` evaluates the sufficient condition
 alpha * Lam_max < alpha^2 * Lam_min + beta on eigenvalue bounds for the
 Sigma_t sequence.
+
+``dkf_updates`` applies the update to a whole stack of trials at once,
+with beliefs and observations that carry a leading trial axis, and
+reports the members whose posterior stopped being PD instead of
+raising; ``dkf_update_info`` is its one-trial case, so a trial gets the
+same bits whether it is filtered alone or in a stack.
 """
 
 from dataclasses import dataclass, field
@@ -34,13 +40,15 @@ import numpy as np
 
 from .linalg import (
     cholesky,
+    cholesky_factors,
+    cholesky_lower,
     cholesky_solve,
-    is_pd,
     solve_spd,
     spectral_norm,
+    spectral_norms,
     sym,
-    try_cholesky,
 )
+from .objectives import BatchObservation
 
 __all__ = [
     "FilterConfig",
@@ -50,6 +58,7 @@ __all__ = [
     "FilterDivergenceError",
     "init_belief",
     "dkf_update",
+    "dkf_updates",
     "dkf_update_info",
     "momentum_matrix",
     "ContractionCheck",
@@ -102,7 +111,9 @@ class GaussianBelief:
     from the PD check of the update so that the step direction needs no
     second factorization. When it is not given it is computed from
     ``sigma``, and a ``sigma`` that is not PD raises
-    PositiveDefiniteError.
+    PositiveDefiniteError. The beliefs of a stack of trials (see
+    ``dkf_updates``) share one object whose fields carry a leading trial
+    axis.
     """
 
     mu: np.ndarray
@@ -150,12 +161,68 @@ def momentum_matrix(cfg, sigma_prev):
     return MomentumMatrix(m=m, rho=spectral_norm(m))
 
 
+def dkf_updates(cfg, prev, obs):
+    """Advance a stack of posteriors by one batch each.
+
+    ``prev`` is a GaussianBelief and ``obs`` a BatchObservation whose
+    fields carry a leading trial axis (T, ...). Follows the update
+    literally: where Q^-1 - S^-1 is not PD, Q is replaced by
+    (Q^-1 + S^-1)^-1 before both the covariance and mean formulas are
+    applied. Returns ``(update, failures)``: a DkfUpdate whose fields
+    carry the trial axis (``fallback_fired`` a (T,) mask, the momentum
+    ``rho`` a (T,) array), and a map from the position of each member
+    whose posterior stopped being PD to its FilterDivergenceError; the
+    fields of a failed member are not meaningful. A member's result does
+    not depend on the rest of the stack. The fallback test fails for
+    many members by design, and numpy flags each such factorization as
+    an invalid value: call this under ``np.errstate(invalid="ignore")``,
+    as ``dkf_update_info`` and ``optim.run_trials`` do.
+    """
+    eye = np.eye(cfg.dim)
+    s_inv = (1.0 / cfg.s_scalar) * eye
+    sigma_prev = prev.sigma
+    # R = alpha^2 Sigma + beta I is PD whenever Sigma is.
+    r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * eye)
+    eyes = eye[None]
+    q_inv = sym(cholesky_solve(obs.q_factor, eyes))
+    r_inv = sym(cholesky_solve(cholesky_lower(r), eyes))
+
+    fallback = ~cholesky_factors(q_inv - s_inv)[1]
+    q_inv_eff = q_inv + fallback[:, None, None] * s_inv
+
+    # A sum of exactly symmetric matrices, so no sym() is needed.
+    precision = q_inv_eff + r_inv - s_inv
+    factor, precision_pd = cholesky_factors(precision)
+    sigma = sym(cholesky_solve(factor, eyes))
+    sigma_factor, sigma_pd = cholesky_factors(sigma)
+    rhs = (q_inv_eff @ obs.f[..., None])[..., 0] + cfg.alpha * (r_inv @ prev.mu[..., None])[..., 0]
+    mu = cholesky_solve(factor, rhs)
+
+    # R^-1 is already on hand, so the momentum matrix comes for the cost
+    # of one product plus its norm.
+    m = cfg.alpha * (r_inv @ sigma_prev)
+    failures = {}
+    if not (precision_pd.all() and sigma_pd.all()):
+        for i in np.flatnonzero(~sigma_pd):
+            failures[i] = FilterDivergenceError("posterior covariance is not positive definite")
+        for i in np.flatnonzero(~precision_pd):
+            failures[i] = FilterDivergenceError("posterior precision is not positive definite")
+    update = DkfUpdate(
+        belief=GaussianBelief(mu=mu, sigma=sigma, sigma_factor=sigma_factor),
+        fallback_fired=fallback,
+        q_inv_effective=q_inv_eff,
+        momentum=MomentumMatrix(m=m, rho=spectral_norms(m)),
+    )
+    return update, failures
+
+
 def dkf_update_info(cfg, prev, obs):
     """Advance the posterior by one batch, returning full step diagnostics.
 
     Follows the update literally: when Q^-1 - S^-1 is not PD, Q is
     replaced by (Q^-1 + S^-1)^-1 before both the covariance and mean
-    formulas are applied.
+    formulas are applied. This is the one-trial case of ``dkf_updates``;
+    a posterior that is not PD raises FilterDivergenceError.
     """
     d = cfg.dim
     mu_prev = np.asarray(prev.mu, dtype=float)
@@ -165,34 +232,23 @@ def dkf_update_info(cfg, prev, obs):
     if obs.q.shape != (d, d) or obs.f.shape != (d,):
         raise ValueError(f"observation dimensions do not match dim={d}")
 
-    eye = np.eye(d)
-    s_inv = (1.0 / cfg.s_scalar) * eye
-    r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * eye)
-    q_inv = sym(cholesky_solve(obs.q_factor, eye))
-    r_inv = sym(cholesky_solve(cholesky(r), eye))
-
-    fallback = not is_pd(q_inv - s_inv)
-    q_inv_eff = q_inv + s_inv if fallback else q_inv
-
-    precision = sym(q_inv_eff + r_inv - s_inv)
-    factor = try_cholesky(precision)
-    if factor is None:
-        raise FilterDivergenceError("posterior precision is not positive definite")
-    sigma = sym(cholesky_solve(factor, eye))
-    sigma_factor = try_cholesky(sigma)
-    if sigma_factor is None:
-        raise FilterDivergenceError("posterior covariance is not positive definite")
-    rhs = q_inv_eff @ obs.f + cfg.alpha * (r_inv @ mu_prev)
-    mu = cholesky_solve(factor, rhs)
-
-    # R^-1 is already on hand, so the momentum matrix comes for the cost
-    # of one product plus its norm.
-    m = cfg.alpha * (r_inv @ sigma_prev)
+    with np.errstate(invalid="ignore"):
+        upd, failures = dkf_updates(
+            cfg,
+            GaussianBelief(mu=mu_prev[None], sigma=sigma_prev[None],
+                           sigma_factor=prev.sigma_factor[None]),
+            BatchObservation(f=obs.f[None], q=obs.q[None], value=obs.value,
+                             q_factor=obs.q_factor[None]),
+        )
+    if failures:
+        raise failures[0]
+    belief = upd.belief
     return DkfUpdate(
-        belief=GaussianBelief(mu=mu, sigma=sigma, sigma_factor=sigma_factor),
-        fallback_fired=fallback,
-        q_inv_effective=q_inv_eff,
-        momentum=MomentumMatrix(m=m, rho=spectral_norm(m)),
+        belief=GaussianBelief(mu=belief.mu[0], sigma=belief.sigma[0],
+                              sigma_factor=belief.sigma_factor[0]),
+        fallback_fired=bool(upd.fallback_fired[0]),
+        q_inv_effective=upd.q_inv_effective[0],
+        momentum=MomentumMatrix(m=upd.momentum.m[0], rho=float(upd.momentum.rho[0])),
     )
 
 

@@ -1,9 +1,16 @@
 """Dense symmetric-positive-definite matrix kernel.
 
 Everything here targets small matrices (d up to ~100): covariance and
-precision updates, Newton solves, extreme eigenvalues, and spectral-norm
-monitoring. All solves and inverses are routed through a Cholesky
-factorization; explicit cofactor inverses are never formed.
+precision updates, Newton solves and spectral-norm monitoring. All
+solves are routed through a Cholesky factorization; explicit cofactor
+inverses are never formed.
+
+The kernels take one matrix (d, d) or a stack (..., d, d) and treat
+every member on its own with numpy's LAPACK gufuncs, so a member's
+result does not depend on what else is in the stack, and the
+one-matrix functions are the stack-of-one case of the same code.
+``cholesky_factors`` never raises: it reports which members are PD,
+so that one non-PD member does not stop a whole stack.
 
 Positive definiteness is decided by a scale-aware pivot threshold, see
 ``pd_tolerance``. Matrix sums and products that are symmetric in exact
@@ -14,20 +21,22 @@ exactly symmetric over long filter recursions.
 import math
 
 import numpy as np
-from scipy.linalg import lapack
+# The gufuncs behind np.linalg.cholesky/solve/svd. Called directly they
+# mark a failed member with nan and the invalid flag instead of raising
+# for the whole stack, and skip np.linalg's per-call checks.
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "PositiveDefiniteError",
     "sym",
     "pd_tolerance",
+    "cholesky_lower",
+    "cholesky_factors",
     "cholesky",
     "try_cholesky",
     "cholesky_solve",
-    "is_pd",
-    "assert_pd",
     "solve_spd",
-    "inverse_spd",
-    "eig_extremes",
+    "spectral_norms",
     "spectral_norm",
 ]
 
@@ -37,18 +46,18 @@ class PositiveDefiniteError(np.linalg.LinAlgError):
 
 
 def sym(m):
-    """Re-symmetrize a nominally symmetric matrix as (m + m.T) / 2."""
-    return 0.5 * (m + m.T)
+    """Re-symmetrize a nominally symmetric matrix (or stack) as (m + m.T) / 2."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def pd_tolerance(m):
     """Scale-aware Cholesky pivot threshold, 1e-12 * (1 + trace(m)/d).
 
     Unit-scale matrices get an effectively absolute 1e-12 threshold;
-    larger scales get proportionally looser ones.
+    larger scales get proportionally looser ones. For a stack, one
+    threshold per member.
     """
-    d = m.shape[0]
-    return 1e-12 * (1.0 + float(np.add.reduce(m.diagonal())) / d)
+    return 1e-12 * (1.0 + m.trace(0, -2, -1) / m.shape[-1])
 
 
 def _as_square(m, name="matrix"):
@@ -62,6 +71,26 @@ def _as_square(m, name="matrix"):
     return m
 
 
+def cholesky_lower(m):
+    """Lower Cholesky factors of ``m`` (..., d, d), known to be PD: no PD test."""
+    return _umath_linalg.cholesky_lo(m, signature="d->d")
+
+
+def cholesky_factors(m):
+    """Lower Cholesky factors of ``m`` (d, d) or (..., d, d), and which are PD.
+
+    Returns ``(factors, ok)``. A member is PD when LAPACK completes and
+    every pivot (squared diagonal of its factor) exceeds
+    ``pd_tolerance``; the factor of any other member is not meaningful.
+    Never raises for a member that is not PD or not finite, but numpy
+    flags its factorization as an invalid value: callers that expect
+    such members run this under ``np.errstate(invalid="ignore")``.
+    """
+    factors = cholesky_lower(m)
+    piv = np.minimum.reduce(factors.diagonal(0, -2, -1), axis=-1)
+    return factors, piv * piv > pd_tolerance(m)
+
+
 def try_cholesky(m):
     """Lower Cholesky factor of ``m``, or None if ``m`` is not PD.
 
@@ -70,16 +99,9 @@ def try_cholesky(m):
     ``pd_tolerance(m)``.
     """
     m = _as_square(m)
-    c, info = lapack.dpotrf(m, lower=1, clean=1)
-    if info != 0:
-        return None
-    # The pivots are positive here, so the smallest one decides; it is
-    # compared as a Python float, because at the small d this library
-    # targets numpy's per-call overhead would dominate.
-    piv = min(c.diagonal().tolist())
-    if not piv * piv > pd_tolerance(m):
-        return None
-    return c
+    with np.errstate(invalid="ignore"):
+        factor, ok = cholesky_factors(m)
+    return factor if ok else None
 
 
 def cholesky(m):
@@ -96,28 +118,18 @@ def cholesky(m):
     return c
 
 
-def is_pd(m):
-    """True if ``m`` admits a Cholesky factorization with all pivots above tolerance."""
-    return try_cholesky(m) is not None
-
-
-def assert_pd(m, context=""):
-    """Raise PositiveDefiniteError unless ``m`` is PD."""
-    if try_cholesky(m) is None:
-        suffix = f" ({context})" if context else ""
-        raise PositiveDefiniteError(f"matrix is not positive definite{suffix}")
-
-
 def cholesky_solve(factor, b):
     """Solve m x = b given the lower Cholesky factor of m.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.
+    ``factor`` is one factor (d, d) or a stack (..., d, d). ``b`` holds
+    one right-hand side per factor, (..., d), when it has one axis fewer
+    than ``factor``, and columns of right-hand sides, (..., d, k),
+    otherwise. The two triangular systems are solved in turn.
     """
     b = np.asarray(b, dtype=float)
-    x, info = lapack.dpotrs(factor, b, lower=1)
-    if info != 0:
-        raise PositiveDefiniteError("triangular solve failed")
-    return x
+    solve = _umath_linalg.solve1 if b.ndim < factor.ndim else _umath_linalg.solve
+    y = solve(factor, b, signature="dd->d")
+    return solve(factor.swapaxes(-1, -2), y, signature="dd->d")
 
 
 def solve_spd(m, b):
@@ -131,26 +143,9 @@ def solve_spd(m, b):
     return cholesky_solve(cholesky(m), b)
 
 
-def inverse_spd(m):
-    """Inverse of an SPD matrix, computed column-wise through Cholesky.
-
-    The result is re-symmetrized as (X + X.T)/2 before it is returned.
-    """
-    m = _as_square(m)
-    factor = cholesky(m)
-    inv = cholesky_solve(factor, np.eye(m.shape[0]))
-    return sym(inv)
-
-
-def eig_extremes(m):
-    """Smallest and largest eigenvalues of a symmetric matrix.
-
-    Uses a full symmetric eigendecomposition, which is accurate and
-    cheap at the dimensions this library works with.
-    """
-    m = _as_square(m)
-    w = np.linalg.eigvalsh(m)
-    return float(w[0]), float(w[-1])
+def spectral_norms(m):
+    """Largest singular value of each member of a stack of general matrices."""
+    return _umath_linalg.svd(m, signature="d->d")[..., 0]
 
 
 def spectral_norm(m):
@@ -159,5 +154,4 @@ def spectral_norm(m):
     Equals sqrt(lambda_max(m.T m)); for symmetric PD input this is the
     largest eigenvalue.
     """
-    m = _as_square(m)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(spectral_norms(_as_square(m)))

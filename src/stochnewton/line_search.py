@@ -4,23 +4,68 @@ Trial step lengths are 1, 1/2, ..., 2**-max_halvings, accepted on a
 sufficient-decrease test with constant ``c``. The defaults (c = 0.95,
 five trial lengths) are deliberately strict; both are configurable.
 
-The objective is evaluated once per search, on a (k, d) stack that
-holds the origin and every candidate point, so a vectorized objective
-pays its per-call overhead once. Candidates are still examined in order
-of decreasing step length, and values past the accepted one are never
-looked at, so they cannot fail a search.
+``armijo_search`` runs the searches of a whole stack of trials at once:
+the objective is evaluated once, on a (T, k, d) stack that holds every
+trial's origin and candidate points, and each trial takes its own first
+passing candidate. ``armijo_backtrack`` is its one-trial case. Values
+past a trial's accepted candidate are never looked at, so they cannot
+fail its search.
 """
 
-import math
+import functools
 
 import numpy as np
 
 from .objectives import NumericalError
 
-__all__ = ["armijo_backtrack"]
+__all__ = ["armijo_search", "armijo_backtrack"]
 
 DEFAULT_SUFFICIENT_DECREASE = 0.95
 DEFAULT_MAX_HALVINGS = 4
+
+
+def armijo_search(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
+                  max_halvings=DEFAULT_MAX_HALVINGS):
+    """Per trial, the first dyadic lam with h(theta0 + lam*v) - h(theta0) <= c*lam*<v, m>.
+
+    ``theta0``, ``v`` (search directions) and ``m`` (gradients of h at
+    theta0) are (T, d) stacks. ``h`` maps a (T, k, d) stack of points to
+    their (T, k) values, row t on trial t's objective, and is called
+    exactly once, on each trial's theta0 followed by its candidates
+    theta0 + lam*v for lam = 2**-k, k = 0..max_halvings. A trial whose
+    candidates all fail takes the last one. Returns ``(lams, failures)``:
+    the (T,) step lengths, and a map from the position of each trial
+    whose h is non-finite at theta0, or at a candidate up to the one it
+    would take, to its NumericalError.
+    """
+    lams = _step_lengths(max_halvings)
+    points = np.concatenate(
+        (theta0[:, None, :], theta0[:, None, :] + lams[:, None] * v[:, None, :]), axis=1
+    )
+    values = h(points)
+    passed = values[:, 1:] - values[:, :1] <= (c * lams) * np.vecdot(v, m)[:, None]
+    # A trial whose candidates all fail takes the last one.
+    passed[:, -1] = True
+    taken = passed.argmax(axis=1)
+    failures = {}
+    if not np.isfinite(values).all():
+        for i in np.flatnonzero(~np.isfinite(values).all(axis=1)):
+            bad = np.flatnonzero(~np.isfinite(values[i]))[0]
+            if bad == 0:
+                failures[i] = NumericalError("objective is non-finite at the line-search origin",
+                                             theta=theta0[i])
+            elif bad - 1 <= taken[i]:
+                failures[i] = NumericalError(
+                    f"objective is non-finite at trial step length {lams[bad - 1]}",
+                    theta=points[i, bad])
+    return lams[taken], failures
+
+
+@functools.lru_cache(maxsize=None)
+def _step_lengths(max_halvings):
+    lams = 2.0 ** -np.arange(max_halvings + 1.0)
+    lams.flags.writeable = False
+    return lams
 
 
 def armijo_backtrack(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
@@ -33,21 +78,15 @@ def armijo_backtrack(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
     theta0 followed by the candidates theta0 + lam*v for lam = 2**-k,
     k = 0..max_halvings. The first candidate that passes is returned; if
     none passes, the last one is. NumericalError is raised when h is
-    non-finite at theta0 or at a candidate up to the returned one.
+    non-finite at theta0 or at a candidate up to the returned one. This
+    is the one-trial case of ``armijo_search``.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    v = np.asarray(v, dtype=float)
-    lams = [2.0 ** -k for k in range(max_halvings + 1)]
-    points = np.concatenate((theta0[None, :], theta0 + np.array(lams)[:, None] * v))
-    h0, *trials = np.asarray(h(points), dtype=float).tolist()
-    if not math.isfinite(h0):
-        raise NumericalError("objective is non-finite at the line-search origin", theta=theta0)
-    slope = float(np.dot(v, m))
-    for k, (lam, trial) in enumerate(zip(lams, trials)):
-        if not math.isfinite(trial):
-            raise NumericalError(
-                f"objective is non-finite at trial step length {lam}", theta=points[k + 1]
-            )
-        if trial - h0 <= c * lam * slope:
-            return lam
-    return lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        lams, failures = armijo_search(
+            lambda points: np.asarray(h(points[0]), dtype=float)[None, :],
+            np.asarray(theta0, dtype=float)[None], np.asarray(v, dtype=float)[None],
+            np.asarray(m, dtype=float)[None], c=c, max_halvings=max_halvings,
+        )
+    if failures:
+        raise failures[0]
+    return float(lams[0])

@@ -11,14 +11,17 @@ families are built in:
 * canonical generalized linear models with scalar response.
 
 Each family implements one numpy kernel, ``row_terms``: the per-sample
-value, gradient and Hessian at every index of a batch at once, for one
-theta of shape (d,) or a stack of k thetas of shape (k, d).
-``SubsampledObjective.batch_sums`` adds the rows up in ascending index
-order with a sequential reduction (never BLAS or numpy's pairwise
-summation; see ``_sequential_sums``), so a batch sum is a pure function
-of theta and the batch multiset, equal bit for bit to adding the
-per-sample terms one at a time, whatever the caller or thread count.
-Per-sample ``value_grad_hess`` is the one-index case of the same kernel.
+value, gradient and Hessian of sample ``idx[...]`` at ``theta[..., :]``
+for any broadcastable stack of (theta, index) pairs.
+``SubsampledObjective.batch_sums`` adds the rows of each batch up in
+ascending index order with a sequential reduction (never BLAS or
+numpy's pairwise summation; see ``_sequential_sum``), so a batch sum is
+a pure function of theta and the batch multiset, equal bit for bit to
+adding the per-sample terms one at a time, whatever the caller, the
+stack it sits in or the thread count. ``evaluate_batches`` forms the
+regularized batch observation of a whole stack of trials at once;
+``evaluate_batch`` is its one-trial case, and per-sample
+``value_grad_hess`` the one-index case of the kernel.
 """
 
 import math
@@ -28,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .linalg import PositiveDefiniteError, cholesky, cholesky_solve, sym, try_cholesky
+from .linalg import PositiveDefiniteError, cholesky, cholesky_factors, cholesky_solve, sym
 
 __all__ = [
     "NumericalError",
@@ -36,6 +39,7 @@ __all__ = [
     "SubsampledObjective",
     "sample_batch",
     "sorted_batch",
+    "evaluate_batches",
     "evaluate_batch",
     "batch_mean_values",
     "LeastSquaresData",
@@ -53,6 +57,10 @@ __all__ = [
     "FisherCheckReport",
     "fisher_identity_check",
 ]
+
+# Row terms that batch_sums holds at once; longer batches are summed in
+# chunks of rows, so memory stays flat in the batch size.
+_ROW_BUDGET = 1 << 16
 
 
 class NumericalError(RuntimeError):
@@ -76,7 +84,9 @@ class BatchObservation:
     ``q_factor`` is the lower Cholesky factor of ``q``, so that the
     Newton solve and the filter reuse the factorization that certified
     ``q`` as PD. When it is not given it is computed from ``q``, and a
-    ``q`` that is not PD raises PositiveDefiniteError.
+    ``q`` that is not PD raises PositiveDefiniteError. The observations
+    of a stack of trials (see ``evaluate_batches``) share one object
+    whose fields carry a leading trial axis.
     """
 
     f: np.ndarray
@@ -102,36 +112,24 @@ def sample_batch(rng, n, size):
     return rng.integers(0, n, size=size)
 
 
-def _sequential_sums(parts, axis):
-    """Sum of each array in ``parts`` along ``axis``, adding the slices strictly in order.
+def _sequential_sum(rows, shape, carry):
+    """``carry`` plus the rows of ``rows`` (shape (b, ...)), added one row at a time.
 
-    Every part is laid out with the summed axis first and its other axes
-    flattened into columns, and the parts are placed side by side in one
-    C-contiguous (b, m) block. With m > 1 columns, ``np.add.reduce``
-    adds one whole row at a time into the running total, which is a
-    sequential sum in every column, so one reduction serves all parts.
-    With a single column numpy would switch to pairwise summation, so
-    that case goes through ``np.add.accumulate`` instead.
+    ``rows`` is first made a C-contiguous array of ``shape`` that this
+    function owns. Over such an array ``np.add.reduce`` along the first
+    axis adds one whole row at a time into the running total, which is a
+    sequential sum in every column, as long as a row holds more than one
+    number; with a single number per row numpy would switch to pairwise
+    summation, so that case goes through ``np.add.accumulate`` instead.
+    ``carry`` is added into the first row in place.
     """
-    if axis:
-        parts = [p.swapaxes(0, axis) for p in parts]
-    b = parts[0].shape[0]
-    cols = [p.reshape(b, -1) for p in parts]
-    widths = [c.shape[1] for c in cols]
-    # np.concatenate would follow the layout of its inputs, which is
-    # column-major for swapped stacks; the sum needs row-major.
-    flat = np.empty((b, sum(widths)))
-    np.concatenate(cols, axis=1, out=flat)
-    if flat.shape[1] == 1:
-        total = np.add.accumulate(flat[:, 0])[-1:]
-    else:
-        total = np.add.reduce(flat, axis=0)
-    sums = []
-    start = 0
-    for p, width in zip(parts, widths):
-        sums.append(total[start:start + width].reshape(p.shape[1:]))
-        start += width
-    return tuple(sums)
+    if rows.shape != shape or not (rows.flags.c_contiguous and rows.flags.owndata):
+        rows = np.array(np.broadcast_to(rows, shape), order="C")
+    if carry is not None:
+        rows[0] += carry
+    if rows.size == shape[0]:
+        return np.add.accumulate(rows.reshape(-1))[-1:].reshape(shape[1:])
+    return np.add.reduce(rows, axis=0)
 
 
 class SubsampledObjective:
@@ -150,39 +148,64 @@ class SubsampledObjective:
     d: int
 
     def row_terms(self, theta, idx, derivatives=True):
-        """Per-sample terms at every index of ``idx`` (shape (b,)).
+        """Per-sample terms of sample ``idx[...]`` at ``theta[..., :]``.
 
-        ``theta`` has shape (d,) or (k, d). Returns the tuple (values,)
-        or, with ``derivatives``, (values, gradients, Hessians), with
-        shapes (b,), (b, d), (b, d, d) for one theta and a leading k
-        axis for a stack. This default loops over ``value_grad_hess``.
+        ``theta`` has shape (..., d) and ``idx`` an integer shape that
+        broadcasts with ``theta.shape[:-1]`` to a shape S. Returns the
+        tuple (values,) or, with ``derivatives``, (values, gradients,
+        Hessians): values of shape S, and gradients and Hessians that
+        broadcast to S + (d,) and S + (d, d). This default loops over
+        ``value_grad_hess``.
         """
-        thetas = np.atleast_2d(theta)
-        terms = [[self.value_grad_hess(th, int(j)) for j in idx] for th in thetas]
-        rows = tuple(
-            np.array([[term[part] for term in row] for row in terms], dtype=float)
+        shape = np.broadcast_shapes(theta.shape[:-1], np.shape(idx))
+        thetas = np.broadcast_to(theta, shape + theta.shape[-1:])
+        idx = np.broadcast_to(idx, shape)
+        terms = [self.value_grad_hess(thetas[i], int(idx[i])) for i in np.ndindex(shape)]
+        return tuple(
+            np.array([term[part] for term in terms], dtype=float).reshape(shape + (self.d,) * part)
             for part in range(3 if derivatives else 1)
         )
-        return rows if theta.ndim == 2 else tuple(r[0] for r in rows)
 
     def batch_sums(self, theta, idx, derivatives=True):
-        """Sums over ``idx`` of the ``row_terms``, added in the order of ``idx``.
+        """Sums of the ``row_terms`` over the last axis of ``idx``, in its order.
 
-        Same shapes as ``row_terms`` with the batch axis summed away.
-        Overflow produces inf or nan without a warning; callers check
-        the result for finiteness.
+        ``theta`` has shape (..., d) and ``idx`` shape (..., b), with
+        leading shapes that broadcast to L: one batch per theta, one
+        batch for a stack of thetas, or one theta for a stack of
+        batches. Returns (values,) or (values, gradients, Hessians) of
+        shapes L, L + (d,), L + (d, d). Overflow produces inf or nan,
+        with numpy's warning unless the caller's error state silences it;
+        callers check the result for finiteness.
         """
         theta = np.asarray(theta, dtype=float)
-        axis = theta.ndim - 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _sequential_sums(self.row_terms(theta, idx, derivatives), axis)
+        idx = np.asarray(idx, dtype=np.intp)
+        lead = theta.shape[:-1]
+        if idx.shape[:-1] != lead:
+            lead = np.broadcast_shapes(lead, idx.shape[:-1])
+        tails = ((), (self.d,), (self.d, self.d)) if derivatives else ((),)
+        width = 1 + self.d + self.d ** 2 if derivatives else 1
+        chunk = max(1, _ROW_BUDGET // (math.prod(lead) * width))
+        # The kernel sees the rows along a new first axis, so that each
+        # part comes back with its rows first, ready to be summed.
+        rank = len(lead)
+        theta = theta.reshape((1,) * (rank + 2 - theta.ndim) + theta.shape)
+        rows = idx.reshape((1,) * (rank + 1 - idx.ndim) + idx.shape)
+        rows = rows.transpose((rank,) + tuple(range(rank)))
+        sums = [None] * len(tails)
+        for start in range(0, rows.shape[0], chunk):
+            part_rows = rows[start:start + chunk]
+            parts = self.row_terms(theta, part_rows, derivatives)
+            for k, (part, tail) in enumerate(zip(parts, tails)):
+                sums[k] = _sequential_sum(part, part_rows.shape[:1] + lead + tail, sums[k])
+        return tuple(sums)
 
     def value_grad_hess(self, theta, j):
         """Per-sample (log g_j(theta), gradient, Hessian)."""
         if type(self).row_terms is SubsampledObjective.row_terms:
             raise NotImplementedError("implement row_terms or value_grad_hess")
-        value, grad, hess = self.batch_sums(theta, np.array([j], dtype=np.intp))
-        return float(value), grad, hess
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad, hess = self.row_terms(np.asarray(theta, dtype=float), np.intp(j))
+        return float(value), np.array(grad), np.array(hess)
 
     def value(self, theta, j):
         return self.value_grad_hess(theta, j)[0]
@@ -192,28 +215,31 @@ class SubsampledObjective:
         return g, h
 
 
-def _regularize_hessian(q):
-    """Ridge an almost-PSD batch Hessian until Cholesky succeeds.
+def _regularize_hessians(q):
+    """Ridge almost-PSD batch Hessians until Cholesky succeeds.
 
-    Adds eps*I with eps = 1e-8 * (1 + trace(q)/d), doubling eps up to
-    ten times before giving up. Returns the matrix and its lower
-    Cholesky factor.
+    ``q`` is a (T, d, d) stack, changed in place. Every finite member
+    that is not PD gets eps*I added, with eps = 1e-8 * (1 + trace(q)/d),
+    doubling eps up to ten times before giving up. Returns (q, lower
+    Cholesky factors, PD mask).
     """
-    factor = try_cholesky(q)
-    if factor is not None:
-        return q, factor
-    d = q.shape[0]
-    eps = 1e-8 * (1.0 + float(np.trace(q)) / d)
+    factors, ok = cholesky_factors(q)
+    if ok.all():
+        return q, factors, ok
+    need = np.flatnonzero(~ok & np.isfinite(q).all(axis=(-2, -1)))
+    d = q.shape[-1]
+    sub = q[need]
+    eps = 1e-8 * (1.0 + np.trace(sub, axis1=-2, axis2=-1) / d)
     eye = np.eye(d)
     for _ in range(10):
-        candidate = q + eps * eye
-        factor = try_cholesky(candidate)
-        if factor is not None:
-            return candidate, factor
-        eps *= 2.0
-    raise PositiveDefiniteError(
-        "batch Hessian is not positive definite even after ridge regularization"
-    )
+        if not len(need):
+            break
+        trial = sub + eps[:, None, None] * eye
+        trial_factors, passed = cholesky_factors(trial)
+        done = need[passed]
+        q[done], factors[done], ok[done] = trial[passed], trial_factors[passed], True
+        need, sub, eps = need[~passed], sub[~passed], 2.0 * eps[~passed]
+    return q, factors, ok
 
 
 def sorted_batch(obj, batch):
@@ -226,12 +252,44 @@ def sorted_batch(obj, batch):
     return idx
 
 
+def evaluate_batches(obj, theta, idx):
+    """Batch-mean value, gradient, and regularized Hessian for a stack of trials.
+
+    ``theta`` is (T, d) and ``idx`` (T, b), each row ascending as from
+    ``sorted_batch``. Returns ``(obs, failures)``: ``obs`` is one
+    BatchObservation whose fields carry the leading trial axis, and
+    ``failures`` maps the position of each member that failed to its
+    NumericalError (non-finite sums) or PositiveDefiniteError (ridge
+    exhausted); the fields of a failed member are not meaningful. A
+    member's result does not depend on the rest of the stack.
+    Floating-point warnings (overflow, and the invalid value numpy flags
+    for a failed factorization) follow the caller's ``np.errstate``;
+    ``evaluate_batch`` and ``optim.run_trials`` silence them.
+    """
+    value, f, q = obj.batch_sums(theta, idx)
+    size = idx.shape[-1]
+    q, q_factor, pd = _regularize_hessians(sym(q / size))
+    failures = {}
+    # A non-finite Hessian never passes as PD, so the per-member masks
+    # are formed only when a test on the whole stack fails.
+    if not (pd.all() and np.isfinite(value).all() and np.isfinite(f).all()):
+        finite = np.isfinite(value) & np.isfinite(f).all(axis=-1) & np.isfinite(q).all(axis=(-2, -1))
+        for i in np.flatnonzero(~finite):
+            failures[i] = NumericalError("non-finite batch evaluation", theta=theta[i])
+        for i in np.flatnonzero(finite & ~pd):
+            failures[i] = PositiveDefiniteError(
+                "batch Hessian is not positive definite even after ridge regularization"
+            )
+    return BatchObservation(f=f / size, q=q, value=value / size, q_factor=q_factor), failures
+
+
 def evaluate_batch(obj, theta, batch):
     """Batch-mean value, gradient, and regularized Hessian at ``theta``.
 
     Per-sample terms are summed in ascending index order (duplicates
     included), which makes the result a pure function of (theta, batch
     multiset). The mean Hessian is ridge-regularized to PD if needed.
+    This is the one-trial case of ``evaluate_batches``.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] != obj.d:
@@ -239,22 +297,23 @@ def evaluate_batch(obj, theta, batch):
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite entries")
     idx = sorted_batch(obj, batch)
-    value, f, q = obj.batch_sums(theta, idx)
-    if not (math.isfinite(value) and np.isfinite(f).all() and np.isfinite(q).all()):
-        raise NumericalError("non-finite batch evaluation", theta=theta)
-    size = float(idx.size)
-    q, q_factor = _regularize_hessian(sym(q / size))
-    return BatchObservation(f=f / size, q=q, value=float(value) / size, q_factor=q_factor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs, failures = evaluate_batches(obj, theta[None], idx[None])
+    if failures:
+        raise failures[0]
+    return BatchObservation(f=obs.f[0], q=obs.q[0], value=float(obs.value[0]),
+                            q_factor=obs.q_factor[0])
 
 
 def batch_mean_values(obj, thetas, idx):
-    """Batch-mean objective value at each row of ``thetas`` (k, d).
+    """Batch-mean objective value at each point of ``thetas`` (..., d).
 
-    ``idx`` is an ascending index array, as from ``sorted_batch``; the
-    values are summed exactly as in ``evaluate_batch``. Non-finite
-    values are returned as they are.
+    ``idx`` holds ascending batches, as from ``sorted_batch``, with a
+    leading shape that broadcasts with that of ``thetas``; the values
+    are summed exactly as in ``evaluate_batch``. Non-finite values are
+    returned as they are.
     """
-    return obj.batch_sums(thetas, idx, derivatives=False)[0] / float(idx.size)
+    return obj.batch_sums(thetas, idx, derivatives=False)[0] / float(idx.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +379,11 @@ class LeastSquaresObjective(SubsampledObjective):
 
     def row_terms(self, theta, idx, derivatives=True):
         xs = self.data.xs[idx]
-        r = np.vecdot(xs, theta[..., None, :]) - self.data.ys[idx]
+        r = np.vecdot(xs, theta) - self.data.ys[idx]
         value = 0.5 * r * r
         if not derivatives:
             return (value,)
-        outers = xs[:, :, None] * xs[:, None, :]
-        if r.ndim == 2:
-            outers = np.broadcast_to(outers, r.shape + outers.shape[1:])
-        return value, xs * r[..., None], outers
+        return value, xs * r[..., None], xs[..., :, None] * xs[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +464,17 @@ class ExpFamilyObjective(SubsampledObjective):
 
     def row_terms(self, theta, idx, derivatives=True):
         fam = self.family
-        thetas = np.atleast_2d(theta)
+        lead = theta.shape[:-1]
+        thetas = theta.reshape(-1, self.d)
         ts = self._ts[idx]
-        a_vals = np.array([float(fam.a(th)) for th in thetas])
-        rows = [a_vals[:, None] - np.vecdot(thetas[:, None, :], ts)]
+        a_vals = np.array([float(fam.a(th)) for th in thetas]).reshape(lead)
+        rows = [a_vals - np.vecdot(theta, ts)]
         if derivatives:
             grad_a = np.array([np.asarray(fam.grad_a(th), dtype=float) for th in thetas])
             hess_a = np.array([sym(np.asarray(fam.hess_a(th), dtype=float)) for th in thetas])
-            rows.append(grad_a[:, None, :] - ts)
-            rows.append(np.broadcast_to(hess_a[:, None], (len(thetas), len(ts)) + hess_a.shape[1:]))
-        return tuple(rows) if theta.ndim == 2 else tuple(r[0] for r in rows)
+            rows.append(grad_a.reshape(lead + (self.d,)) - ts)
+            rows.append(hess_a.reshape(lead + (self.d, self.d)))
+        return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +560,13 @@ class GlmObjective(SubsampledObjective):
         fam = self.data.family
         xs = self.data.xs[idx]
         t_ys = self._t_ys[idx]
-        eta = np.vecdot(xs, theta[..., None, :])
+        eta = np.vecdot(xs, theta)
         value = np.asarray(fam.a(eta), dtype=float) - eta * t_ys
         if not derivatives:
             return (value,)
         mean = np.asarray(fam.a_prime(eta), dtype=float)
         var = np.asarray(fam.a_double_prime(eta), dtype=float)
-        outers = xs[:, :, None] * xs[:, None, :]
+        outers = xs[..., :, None] * xs[..., None, :]
         return value, xs * (mean - t_ys)[..., None], outers * var[..., None, None]
 
 

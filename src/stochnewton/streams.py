@@ -4,8 +4,8 @@ Every random quantity in an experiment is drawn from a Philox
 (counter-based) generator keyed by the master seed plus a purpose key,
 e.g. ``(BATCH_STREAM, trial_index)``. Streams built from the same key
 are identical, so paired optimization runs can consume the same batch
-indices without sharing generator state, and trials can run in parallel
-without contention.
+indices without sharing generator state, and a trial's draws do not
+depend on which other trials are run with it, or in what order.
 """
 
 import numpy as np
@@ -14,12 +14,7 @@ import numpy as np
 DATA_STREAM = 0
 BATCH_STREAM = 1
 
-__all__ = ["DATA_STREAM", "BATCH_STREAM", "derive_stream", "stream_key"]
-
-
-def stream_key(master_seed, *key):
-    """Human-readable provenance string for a derived stream."""
-    return f"seed={master_seed} key={key}"
+__all__ = ["DATA_STREAM", "BATCH_STREAM", "derive_stream"]
 
 
 def derive_stream(master_seed, *key):

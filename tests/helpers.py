@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from stochnewton.linalg import try_cholesky
+
 
 def random_orthogonal(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
@@ -14,6 +16,17 @@ def random_spd(rng, d, lam_min=0.5, lam_max=2.0):
     lams = rng.uniform(lam_min, lam_max, size=d)
     m = (q * lams) @ q.T
     return 0.5 * (m + m.T)
+
+
+def is_pd(m):
+    """True if ``m`` admits a Cholesky factorization with all pivots above tolerance."""
+    return try_cholesky(m) is not None
+
+
+def eig_extremes(m):
+    """Smallest and largest eigenvalues of a symmetric matrix."""
+    w = np.linalg.eigvalsh(m)
+    return float(w[0]), float(w[-1])
 
 
 def finite_difference_gradient(fn, theta, h=1e-5):

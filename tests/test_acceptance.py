@@ -71,12 +71,10 @@ def _seed_summary(seed):
     """Compact per-seed statistics for criteria 1-3."""
     result = run_paired_trials(ExperimentConfig(master_seed=seed))
     med_unf = float(np.median(
-        [np.linalg.norm(p.unfiltered.records[9].theta_after - result.theta_star)
-         for p in result.traces]))
+        [np.linalg.norm(theta - result.theta_star) for theta in result.unfiltered.thetas[:, 10]]))
     med_fil = float(np.median(
-        [np.linalg.norm(p.filtered.records[9].theta_after - result.theta_star)
-         for p in result.traces]))
-    monitor = rho_monitor_summary([p.filtered for p in result.traces])
+        [np.linalg.norm(theta - result.theta_star) for theta in result.filtered.thetas[:, 10]]))
+    monitor = rho_monitor_summary(result.filtered.rho)
     return {
         "seed": seed,
         "step1_equal": bool(result.stats.mse_unfiltered[0] == result.stats.mse_filtered[0]),

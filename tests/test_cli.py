@@ -1,5 +1,6 @@
 import pytest
 
+from stochnewton import cli
 from stochnewton.cli import main
 
 
@@ -91,3 +92,13 @@ def test_unknown_flag_is_input_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["run-paired", "--no-such-flag"])
     assert excinfo.value.code == 1
+
+
+def test_plain_runtime_error_is_not_a_numerical_failure(monkeypatch):
+    # Only the typed numerical failures map to exit code 2; a bug surfaces.
+    def broken(cfg, workers=1):
+        raise RuntimeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(cli, "run_paired_trials", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["run-paired", "--trials", "2", "--steps", "2"])

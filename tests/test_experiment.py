@@ -6,7 +6,7 @@ import stochnewton.experiment as experiment
 from stochnewton.experiment import (
     AngularErrorStats,
     ExperimentConfig,
-    UndefinedAngleError,
+    TooManyFailuresError,
     emit_csv,
     exact_mle,
     generate_data,
@@ -15,7 +15,7 @@ from stochnewton.experiment import (
     signed_angular_error,
 )
 from stochnewton.objectives import LeastSquaresData, LeastSquaresObjective, evaluate_batch
-from stochnewton.optim import StepError, StepRecord, TrialTrace, run
+from stochnewton.optim import StepRecord, TrialTrace, run
 from stochnewton.streams import BATCH_STREAM, DATA_STREAM, derive_stream
 
 
@@ -150,13 +150,12 @@ def test_single_trial_matches_hand_composition():
     unfiltered = run(obj, cfg.theta0, cfg.optimizer_config(filtered=False),
                      derive_stream(cfg.master_seed, BATCH_STREAM, 0))
 
-    got = result.traces[0]
-    for mine, theirs in ((filtered, got.filtered), (unfiltered, got.unfiltered)):
-        assert len(mine.records) == len(theirs.records)
-        for a, b in zip(mine.records, theirs.records):
-            assert np.array_equal(a.theta_after, b.theta_after)
-            assert np.array_equal(a.batch, b.batch)
-            assert a.step_length == b.step_length
+    for mine, theirs in ((filtered, result.filtered), (unfiltered, result.unfiltered)):
+        assert len(mine.records) == theirs.step_lengths.shape[1]
+        for t, rec in enumerate(mine.records):
+            assert np.array_equal(rec.theta_after, theirs.thetas[0, t + 1])
+            assert np.array_equal(rec.batch, result.batches[0, t])
+            assert rec.step_length == theirs.step_lengths[0, t]
 
 
 def test_step_one_mse_identical():
@@ -172,10 +171,18 @@ def test_mse_decomposition():
 
 
 def test_paired_index_logs_agree():
-    result = run_paired_trials(small_config(trials=10))
-    for paired in result.traces:
-        for fr, ur in zip(paired.filtered.records, paired.unfiltered.records):
-            assert np.array_equal(fr.batch, ur.batch)
+    # Both methods consume the batches recorded for a trial, which are
+    # those of a one-trial run on that trial's stream.
+    cfg = small_config(trials=10)
+    result = run_paired_trials(cfg)
+    obj = LeastSquaresObjective(result.data)
+    for k, trial in enumerate(result.trials):
+        for filtered, steps in ((False, result.unfiltered), (True, result.filtered)):
+            alone = run(obj, cfg.theta0, cfg.optimizer_config(filtered=filtered),
+                        derive_stream(cfg.master_seed, BATCH_STREAM, trial))
+            assert np.array_equal(np.array([rec.batch for rec in alone.records]),
+                                  result.batches[k])
+            assert np.array_equal(alone.thetas(), steps.thetas[k, 1:])
 
 
 def test_worker_threads_do_not_change_results():
@@ -189,49 +196,49 @@ def test_worker_threads_do_not_change_results():
                           equal_nan=True)
 
 
+def _start_trials_at(monkeypatch, starts):
+    """Make the engine start the trials in ``starts`` (index -> point or
+    callable of the exact optimum) there instead of at theta0."""
+    engine = experiment.run_trials
+
+    def run_trials(obj, theta0, batches, cfg):
+        theta0 = np.tile(theta0, (len(batches), 1))
+        for trial, start in starts.items():
+            theta0[trial] = start(exact_mle(obj.data)) if callable(start) else start
+        return engine(obj, theta0, batches, cfg)
+
+    monkeypatch.setattr(experiment, "run_trials", run_trials)
+
+
 def test_failed_trials_are_excluded_and_counted(monkeypatch):
-    original = experiment._run_one_trial
-
-    def flaky(obj, theta_star, cfg, trial):
-        if trial == 3:
-            raise StepError(1, TrialTrace())
-        return original(obj, theta_star, cfg, trial)
-
-    monkeypatch.setattr(experiment, "_run_one_trial", flaky)
+    # Trial 3 starts where its batch objective overflows.
+    _start_trials_at(monkeypatch, {3: 1e200})
     result = run_paired_trials(small_config(trials=200, steps=3))
-    assert len(result.failures) == 1
-    assert result.failures[0][0] == 3
-    assert len(result.traces) == 199
+    assert result.failures == [(3, "StepError: optimization failed at step 1")]
+    assert len(result.trials) == 199 and 3 not in result.trials
+    assert result.filtered.thetas.shape[0] == result.unfiltered.thetas.shape[0] == 199
 
 
 def test_too_many_failures_abort(monkeypatch):
-    def always_fail(obj, theta_star, cfg, trial):
-        raise StepError(1, TrialTrace())
-
-    monkeypatch.setattr(experiment, "_run_one_trial", always_fail)
-    with pytest.raises(RuntimeError):
+    _start_trials_at(monkeypatch, {trial: 1e200 for trial in range(10)})
+    with pytest.raises(TooManyFailuresError):
         run_paired_trials(small_config(trials=10, steps=2))
 
 
 def test_undefined_angle_counts_as_a_failed_trial(monkeypatch):
-    original = experiment._run_one_trial
-
-    def degenerate(obj, theta_star, cfg, trial):
-        if trial == 5:
-            raise UndefinedAngleError("angular error is undefined for a zero vector")
-        return original(obj, theta_star, cfg, trial)
-
-    monkeypatch.setattr(experiment, "_run_one_trial", degenerate)
+    # Trial 5 starts at the exact optimum, where the optimal direction is zero.
+    _start_trials_at(monkeypatch, {5: lambda theta_star: theta_star})
     result = run_paired_trials(small_config(trials=200, steps=2))
-    assert [trial for trial, _ in result.failures] == [5]
+    assert result.failures == [(5, "UndefinedAngleError: angular error is undefined "
+                                   "for a zero vector")]
 
 
 def test_programming_errors_in_a_trial_propagate(monkeypatch):
     # A plain ValueError is a bug, not a numerical failure of the trial.
-    def broken(obj, theta_star, cfg, trial):
+    def broken(obj, theta0, batches, cfg):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(experiment, "_run_one_trial", broken)
+    monkeypatch.setattr(experiment, "run_trials", broken)
     with pytest.raises(ValueError, match="could not be broadcast"):
         run_paired_trials(small_config(trials=10, steps=2))
 

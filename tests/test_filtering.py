@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import multivariate_normal
 
@@ -9,14 +10,15 @@ from stochnewton.filtering import (
     check_contraction_bound,
     dkf_update,
     dkf_update_info,
+    dkf_updates,
     init_belief,
     momentum_matrix,
     unrolled_direction,
 )
-from stochnewton.linalg import PositiveDefiniteError, cholesky, eig_extremes, solve_spd, spectral_norm
+from stochnewton.linalg import PositiveDefiniteError, cholesky, solve_spd, spectral_norm
 from stochnewton.objectives import BatchObservation
 
-from helpers import random_spd
+from helpers import eig_extremes, random_spd
 
 
 def obs(f, q):
@@ -331,3 +333,85 @@ def test_rho_bound_holds_along_filter_runs():
         bound = cfg.alpha * hi / (cfg.alpha ** 2 * lo + cfg.beta)
         assert upd.momentum.rho <= bound + 1e-9
         belief = upd.belief
+
+
+# ---------------------------------------------------------------------------
+# the stacked update (properties over random stacks)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def filter_stacks(draw, q_scale=(0.05, 5.0)):
+    """A filter config with a stack of prior beliefs and batch observations."""
+    d = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 5))
+    cfg = FilterConfig(alpha=draw(st.floats(0.05, 0.95)), beta=draw(st.floats(0.05, 1.5)), dim=d)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = np.array([random_spd(rng, d, 0.1, 4.0) for _ in range(count)])
+    q = np.array([random_spd(rng, d, *q_scale) for _ in range(count)])
+    prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma,
+                          sigma_factor=np.linalg.cholesky(sigma))
+    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
+                                   q_factor=np.linalg.cholesky(q))
+    return cfg, prev, observation
+
+
+def stacked_update(cfg, prev, observation):
+    # The fallback test fails for many members by design; numpy flags
+    # each such factorization as an invalid value.
+    with np.errstate(invalid="ignore"):
+        return dkf_updates(cfg, prev, observation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_stacks())
+def test_stacked_update_preserves_spd(stack):
+    cfg, prev, observation = stack
+    upd, failures = stacked_update(cfg, prev, observation)
+    assert not failures
+    sigma = upd.belief.sigma
+    assert np.array_equal(sigma, sigma.swapaxes(-1, -2))
+    assert np.all(np.linalg.eigvalsh(sigma) > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_stacks())
+def test_stacked_update_equals_one_trial_updates_bitwise(stack):
+    cfg, prev, observation = stack
+    upd, _ = stacked_update(cfg, prev, observation)
+    for i in range(len(prev.mu)):
+        one = dkf_update_info(
+            cfg, GaussianBelief(mu=prev.mu[i], sigma=prev.sigma[i], sigma_factor=prev.sigma_factor[i]),
+            BatchObservation(f=observation.f[i], q=observation.q[i], value=0.0,
+                             q_factor=observation.q_factor[i]))
+        assert np.array_equal(one.belief.mu, upd.belief.mu[i])
+        assert np.array_equal(one.belief.sigma, upd.belief.sigma[i])
+        assert one.fallback_fired == upd.fallback_fired[i]
+        assert one.momentum.rho == upd.momentum.rho[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_stacks(q_scale=(0.05, 0.9)))
+def test_stacked_stationary_prior_returns_q(stack):
+    # From the stationary covariance S = s I the prediction is R = S, so
+    # the posterior covariance is Q itself whenever Q < S (no fallback).
+    cfg, prev, observation = stack
+    s = cfg.s_scalar
+    observation = BatchObservation(f=observation.f, q=s * observation.q / 5.0, value=observation.value,
+                                   q_factor=np.linalg.cholesky(s * observation.q / 5.0))
+    stationary = s * np.broadcast_to(np.eye(cfg.dim), prev.sigma.shape)
+    prev = GaussianBelief(mu=prev.mu, sigma=stationary, sigma_factor=np.linalg.cholesky(stationary))
+    upd, failures = stacked_update(cfg, prev, observation)
+    assert not failures and not upd.fallback_fired.any()
+    assert np.max(np.abs(upd.belief.sigma - observation.q)) <= 1e-10 * s
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_stacks())
+def test_stacked_momentum_meets_the_contraction_bound(stack):
+    # Prop. 1: rho(M_t) <= alpha lam_max / (alpha^2 lam_min + beta) over
+    # the eigenvalues of the prior covariance.
+    cfg, prev, observation = stack
+    upd, _ = stacked_update(cfg, prev, observation)
+    lam = np.linalg.eigvalsh(prev.sigma)
+    bound = cfg.alpha * lam[:, -1] / (cfg.alpha ** 2 * lam[:, 0] + cfg.beta)
+    assert np.all(upd.momentum.rho <= bound * (1.0 + 1e-9))

@@ -5,9 +5,6 @@ from numpy.testing import assert_allclose
 from stochnewton.linalg import (
     PositiveDefiniteError,
     cholesky,
-    eig_extremes,
-    inverse_spd,
-    is_pd,
     pd_tolerance,
     solve_spd,
     spectral_norm,
@@ -15,7 +12,7 @@ from stochnewton.linalg import (
     try_cholesky,
 )
 
-from helpers import random_spd
+from helpers import eig_extremes, is_pd, random_spd
 
 
 def test_cholesky_identity():
@@ -83,26 +80,6 @@ def test_solve_residual_bound():
         assert res <= 1e-10 * (np.linalg.norm(b) + spectral_norm(m) * np.linalg.norm(x))
 
 
-def test_inverse_trivial_cases():
-    assert_allclose(inverse_spd(np.eye(3)), np.eye(3))
-    assert_allclose(inverse_spd(np.diag([2.0, 5.0])), np.diag([0.5, 0.2]))
-
-
-def test_inverse_is_involution():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        m = random_spd(rng, int(rng.integers(1, 8)))
-        back = inverse_spd(inverse_spd(m))
-        assert np.max(np.abs(back - m)) <= 1e-8 * spectral_norm(m)
-
-
-def test_inverse_output_is_exactly_symmetric():
-    rng = np.random.default_rng(4)
-    m = random_spd(rng, 5)
-    inv = inverse_spd(m)
-    assert np.array_equal(inv, inv.T)
-
-
 def test_solve_agrees_with_inverse():
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -110,7 +87,7 @@ def test_solve_agrees_with_inverse():
         m = random_spd(rng, d)
         b = rng.standard_normal(d)
         x = solve_spd(m, b)
-        y = inverse_spd(m) @ b
+        y = np.linalg.inv(m) @ b
         assert np.linalg.norm(x - y) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stochnewton.linalg import PositiveDefiniteError, cholesky, eig_extremes, is_pd, solve_spd, sym
+from stochnewton.linalg import PositiveDefiniteError, cholesky, solve_spd, sym
 from stochnewton.objectives import (
     BatchObservation,
     ExpFamily,
@@ -24,7 +24,7 @@ from stochnewton.objectives import (
     sample_batch,
 )
 
-from helpers import finite_difference_gradient, finite_difference_hessian
+from helpers import eig_extremes, finite_difference_gradient, finite_difference_hessian, is_pd
 
 
 def make_ls_objective(rng, n=40, d=3):

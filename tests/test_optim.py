@@ -4,11 +4,15 @@ from numpy.testing import assert_allclose
 
 from stochnewton.filtering import FilterConfig, GaussianBelief, dkf_update_info, init_belief
 from stochnewton.objectives import (
+    GlmData,
+    GlmObjective,
     LeastSquaresData,
     LeastSquaresObjective,
     NumericalError,
     SubsampledObjective,
+    bernoulli_scalar_family,
     evaluate_batch,
+    sample_batch,
 )
 from stochnewton.linalg import solve_spd
 from stochnewton.optim import (
@@ -16,6 +20,7 @@ from stochnewton.optim import (
     StepError,
     filtered_step,
     run,
+    run_trials,
     unfiltered_step,
 )
 from stochnewton.streams import derive_stream
@@ -250,3 +255,61 @@ def test_run_rejects_non_finite_start():
     cfg = OptimizerConfig(batch_size=5, max_steps=1)
     with pytest.raises(ValueError):
         run(obj, np.array([np.inf, 0.0]), cfg, derive_stream(0, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the trial-stacked engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, size, steps", [(100, 5, 30), (2000, 100, 30), (1000, 20, 300),
+                                            (7, 3, 30)])
+def test_bulk_batch_draw_equals_per_step_draws(n, size, steps):
+    # run draws all batches of a trial with one call; the indices are
+    # those of one draw per step from the same stream.
+    for trial in range(3):
+        bulk = sample_batch(derive_stream(0, 1, trial), n, steps * size).reshape(steps, size)
+        rng = derive_stream(0, 1, trial)
+        per_step = np.array([sample_batch(rng, n, size) for _ in range(steps)])
+        assert np.array_equal(bulk, per_step)
+
+
+def _engine_cases():
+    rng = np.random.default_rng(12)
+    wide = rng.standard_normal((300, 20))
+    logistic = rng.standard_normal((200, 5))
+    return [
+        (make_ls(rng), 5),
+        # 100 rows of 20x20 Hessians: a stack of 6 is summed in chunks of
+        # rows, a single trial in one.
+        (LeastSquaresObjective(LeastSquaresData(xs=wide, ys=wide @ np.ones(20))), 100),
+        (GlmObjective(GlmData(xs=logistic, ys=(rng.random(200) < 0.5).astype(float),
+                              family=bernoulli_scalar_family())), 20),
+    ]
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("case", range(3))
+def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
+    obj, size = _engine_cases()[case]
+    count, steps = 6, 8
+    rng = np.random.default_rng(case)
+    theta0 = rng.uniform(-1.0, 1.0, size=(count, obj.d))
+    theta0[2] = 1e308  # the batch objective overflows: trial 2 fails at step 1
+    batches = rng.integers(0, obj.n, size=(count, steps, size))
+    cfg = OptimizerConfig(batch_size=size, max_steps=steps,
+                          filter=FilterConfig(alpha=0.9, beta=0.2, dim=obj.d) if filtered else None)
+    stacked = run_trials(obj, theta0, batches, cfg)
+    assert stacked.failed_step.tolist() == [0, 0, 1, 0, 0, 0]
+    assert isinstance(stacked.errors[2], NumericalError)
+    for i in range(count):
+        alone = run_trials(obj, theta0[i], batches[i:i + 1], cfg)
+        assert alone.failed_step[0] == stacked.failed_step[i]
+        done = stacked.failed_step[i] - 1 if stacked.failed_step[i] else steps
+        assert np.array_equal(alone.thetas[0, :done + 1], stacked.thetas[i, :done + 1])
+        for name in ("directions", "newton_directions", "step_lengths", "rho", "fallback"):
+            assert np.array_equal(getattr(alone, name)[0, :done], getattr(stacked, name)[i, :done],
+                                  equal_nan=True)
+    # The one-trial entry point is the same engine.
+    trace = run(obj, theta0[0], cfg, derive_stream(5, 1, 0))
+    again = run_trials(obj, theta0[0], np.array([[rec.batch for rec in trace.records]]), cfg)
+    assert np.array_equal(trace.thetas(), again.thetas[0, 1:])
