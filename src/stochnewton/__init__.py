@@ -9,6 +9,7 @@ paired-trial benchmark with CSV output.
 
 from .filtering import (
     DkfUpdate,
+    DkfUpdates,
     FilterConfig,
     FilterDivergenceError,
     GaussianBelief,
@@ -45,9 +46,9 @@ from .linalg import (
     cholesky,
     cholesky_factors,
     cholesky_solve,
+    largest_eigenvalues,
     solve_spd,
     spectral_norm,
-    spectral_norms,
     sym,
     try_cholesky,
 )

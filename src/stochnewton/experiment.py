@@ -33,7 +33,7 @@ import numpy as np
 from .filtering import FilterConfig
 from .linalg import PositiveDefiniteError, solve_spd, sym
 from .objectives import LeastSquaresData, LeastSquaresObjective, sample_batch
-from .optim import OptimizerConfig, StackedTrace, StepError, run_trials
+from .optim import OptimizerConfig, StackedTrace, run_trials
 from .streams import BATCH_STREAM, DATA_STREAM, derive_stream
 
 __all__ = [
@@ -311,10 +311,11 @@ def _trajectory_curves(trace, theta_star, obj):
 
 
 def _failure_message(trial, traces):
+    """Why a trial was dropped: the first method's error that stopped it, with its step."""
     for trace in traces:
         if trace.failed_step[trial]:
-            err = StepError(int(trace.failed_step[trial]), None)
-            return f"{type(err).__name__}: {err}"
+            err = trace.errors[trial]
+            return f"{type(err).__name__} at step {trace.failed_step[trial]}: {err}"
     return f"{UndefinedAngleError.__name__}: {_UNDEFINED_ANGLE}"
 
 
@@ -421,24 +422,15 @@ class RhoMonitorSummary:
     violations: List[int]
 
 
-def rho_monitor_summary(traces, threshold=0.8, min_step=5):
+def rho_monitor_summary(rho, threshold=0.8, min_step=5):
     """Max rho(M_t) per step over filtered runs, flagging late violations.
 
-    ``traces`` is a list of filtered TrialTraces, or the (trials, steps)
-    array of their rho_m values with nan where there is none, as in
-    ``StackedTrace.rho``. A step t > min_step is flagged when its
-    maximum reaches the threshold. Steps with no momentum matrix (the
-    first step) hold nan and are never flagged.
+    ``rho`` is the (trials, steps) array of the runs' rho_m values, with
+    nan where there is none, as in ``StackedTrace.rho``. A step
+    t > min_step is flagged when its maximum reaches the threshold.
+    Steps with no momentum matrix (the first step) hold nan and are
+    never flagged.
     """
-    if isinstance(traces, np.ndarray):
-        rho = traces
-    else:
-        traces = list(traces)
-        rho = np.full((len(traces), max((len(tr.records) for tr in traces), default=0)), np.nan)
-        for k, tr in enumerate(traces):
-            for i, rec in enumerate(tr.records):
-                if rec.rho_m is not None:
-                    rho[k, i] = rec.rho_m
     step_max = np.fmax.reduce(rho, axis=0, initial=np.nan)
     steps = step_max.shape[0]
     violations = [

@@ -26,11 +26,25 @@ spectral norm of M_t below one makes old batches decay exponentially;
 alpha * Lam_max < alpha^2 * Lam_min + beta on eigenvalue bounds for the
 Sigma_t sequence.
 
+R = alpha^2 Sigma_{t-1} + beta I commutes with Sigma_{t-1}, so M_t is
+symmetric with eigenvalues alpha lam / (alpha^2 lam + beta) over the
+eigenvalues lam of Sigma_{t-1}. That map increases with lam, so the
+spectral norm is exact from the largest eigenvalue alone:
+
+    rho_t = alpha lam_max / (alpha^2 lam_max + beta).
+
+The filter takes rho_t that way and never forms M_t. Read backwards,
+rho_t < r exactly when lam_max(Sigma_{t-1}) < r beta / (alpha (1 - r alpha)):
+at alpha = 0.9 and beta = 0.2 the monitor's rho_t < 0.8 is the
+statement lam_max(Sigma_{t-1}) < 0.635.
+
 ``dkf_updates`` applies the update to a whole stack of trials at once,
 with beliefs and observations that carry a leading trial axis, and
 reports the members whose posterior stopped being PD instead of
 raising; ``dkf_update_info`` is its one-trial case, so a trial gets the
-same bits whether it is filtered alone or in a stack.
+same bits whether it is filtered alone or in a stack. Only the
+one-trial case also returns M_t and the effective Q_t^-1, which the
+oracle ``unrolled_direction`` reads.
 """
 
 from dataclasses import dataclass, field
@@ -43,9 +57,9 @@ from .linalg import (
     cholesky_factors,
     cholesky_lower,
     cholesky_solve,
+    largest_eigenvalues,
     solve_spd,
     spectral_norm,
-    spectral_norms,
     sym,
 )
 from .objectives import BatchObservation
@@ -55,6 +69,7 @@ __all__ = [
     "GaussianBelief",
     "MomentumMatrix",
     "DkfUpdate",
+    "DkfUpdates",
     "FilterDivergenceError",
     "init_belief",
     "dkf_update",
@@ -146,6 +161,21 @@ class DkfUpdate(NamedTuple):
     momentum: MomentumMatrix
 
 
+class DkfUpdates(NamedTuple):
+    """One filter step of a stack of T trials; every field has the trial axis.
+
+    ``fallback_fired`` (T,) marks the members whose Q_t was replaced,
+    ``sigma_lam_max`` (T,) is the largest eigenvalue of each prior
+    covariance Sigma_{t-1} and ``rho`` (T,) the spectral norm of each
+    M_t, alpha lam_max / (alpha^2 lam_max + beta).
+    """
+
+    belief: GaussianBelief
+    fallback_fired: np.ndarray
+    sigma_lam_max: np.ndarray
+    rho: np.ndarray
+
+
 def init_belief(obs):
     """Belief after the first batch: mu = f_1, sigma = Q_1."""
     return GaussianBelief(mu=np.array(obs.f, dtype=float),
@@ -168,16 +198,21 @@ def dkf_updates(cfg, prev, obs):
     fields carry a leading trial axis (T, ...). Follows the update
     literally: where Q^-1 - S^-1 is not PD, Q is replaced by
     (Q^-1 + S^-1)^-1 before both the covariance and mean formulas are
-    applied. Returns ``(update, failures)``: a DkfUpdate whose fields
-    carry the trial axis (``fallback_fired`` a (T,) mask, the momentum
-    ``rho`` a (T,) array), and a map from the position of each member
-    whose posterior stopped being PD to its FilterDivergenceError; the
-    fields of a failed member are not meaningful. A member's result does
-    not depend on the rest of the stack. The fallback test fails for
-    many members by design, and numpy flags each such factorization as
-    an invalid value: call this under ``np.errstate(invalid="ignore")``,
-    as ``dkf_update_info`` and ``optim.run_trials`` do.
+    applied. Returns ``(update, failures)``: a DkfUpdates, and a map from
+    the position of each member whose posterior stopped being PD to its
+    FilterDivergenceError; the fields of a failed member are not
+    meaningful. A member's result does not depend on the rest of the
+    stack. The fallback test fails for many members by design, and numpy
+    flags each such factorization as an invalid value: call this under
+    ``np.errstate(invalid="ignore")``, as ``dkf_update_info`` and
+    ``optim.run_trials`` do.
     """
+    update, failures, _, _ = _updates(cfg, prev, obs)
+    return update, failures
+
+
+def _updates(cfg, prev, obs):
+    """``dkf_updates``, plus the effective Q^-1 and R^-1 of every member."""
     eye = np.eye(cfg.dim)
     s_inv = (1.0 / cfg.s_scalar) * eye
     sigma_prev = prev.sigma
@@ -198,22 +233,20 @@ def dkf_updates(cfg, prev, obs):
     rhs = (q_inv_eff @ obs.f[..., None])[..., 0] + cfg.alpha * (r_inv @ prev.mu[..., None])[..., 0]
     mu = cholesky_solve(factor, rhs)
 
-    # R^-1 is already on hand, so the momentum matrix comes for the cost
-    # of one product plus its norm.
-    m = cfg.alpha * (r_inv @ sigma_prev)
+    lam_max = largest_eigenvalues(sigma_prev)
     failures = {}
     if not (precision_pd.all() and sigma_pd.all()):
         for i in np.flatnonzero(~sigma_pd):
             failures[i] = FilterDivergenceError("posterior covariance is not positive definite")
         for i in np.flatnonzero(~precision_pd):
             failures[i] = FilterDivergenceError("posterior precision is not positive definite")
-    update = DkfUpdate(
+    update = DkfUpdates(
         belief=GaussianBelief(mu=mu, sigma=sigma, sigma_factor=sigma_factor),
         fallback_fired=fallback,
-        q_inv_effective=q_inv_eff,
-        momentum=MomentumMatrix(m=m, rho=spectral_norms(m)),
+        sigma_lam_max=lam_max,
+        rho=cfg.alpha * lam_max / (cfg.alpha ** 2 * lam_max + cfg.beta),
     )
-    return update, failures
+    return update, failures, q_inv_eff, r_inv
 
 
 def dkf_update_info(cfg, prev, obs):
@@ -221,8 +254,10 @@ def dkf_update_info(cfg, prev, obs):
 
     Follows the update literally: when Q^-1 - S^-1 is not PD, Q is
     replaced by (Q^-1 + S^-1)^-1 before both the covariance and mean
-    formulas are applied. This is the one-trial case of ``dkf_updates``;
-    a posterior that is not PD raises FilterDivergenceError.
+    formulas are applied. This is the one-trial case of ``dkf_updates``,
+    with the same rho bit for bit; it also forms the momentum matrix
+    M_t = alpha R^-1 Sigma_{t-1} and returns the effective Q^-1. A
+    posterior that is not PD raises FilterDivergenceError.
     """
     d = cfg.dim
     mu_prev = np.asarray(prev.mu, dtype=float)
@@ -233,7 +268,7 @@ def dkf_update_info(cfg, prev, obs):
         raise ValueError(f"observation dimensions do not match dim={d}")
 
     with np.errstate(invalid="ignore"):
-        upd, failures = dkf_updates(
+        upd, failures, q_inv_eff, r_inv = _updates(
             cfg,
             GaussianBelief(mu=mu_prev[None], sigma=sigma_prev[None],
                            sigma_factor=prev.sigma_factor[None]),
@@ -247,8 +282,8 @@ def dkf_update_info(cfg, prev, obs):
         belief=GaussianBelief(mu=belief.mu[0], sigma=belief.sigma[0],
                               sigma_factor=belief.sigma_factor[0]),
         fallback_fired=bool(upd.fallback_fired[0]),
-        q_inv_effective=upd.q_inv_effective[0],
-        momentum=MomentumMatrix(m=upd.momentum.m[0], rho=float(upd.momentum.rho[0])),
+        q_inv_effective=q_inv_eff[0],
+        momentum=MomentumMatrix(m=cfg.alpha * (r_inv[0] @ sigma_prev), rho=float(upd.rho[0])),
     )
 
 

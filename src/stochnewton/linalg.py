@@ -6,11 +6,27 @@ solves are routed through a Cholesky factorization; explicit cofactor
 inverses are never formed.
 
 The kernels take one matrix (d, d) or a stack (..., d, d) and treat
-every member on its own with numpy's LAPACK gufuncs, so a member's
-result does not depend on what else is in the stack, and the
-one-matrix functions are the stack-of-one case of the same code.
-``cholesky_factors`` never raises: it reports which members are PD,
-so that one non-PD member does not stop a whole stack.
+every member on its own, so a member's result does not depend on what
+else is in the stack, and the one-matrix functions are the
+stack-of-one case of the same code. ``cholesky_factors`` never raises:
+it reports which members are PD, so that one non-PD member does not
+stop a whole stack.
+
+Which kernel runs depends on d alone:
+
+- ``cholesky_solve`` solves the two triangular systems by elementwise
+  forward and back substitution, one row at a time over the whole
+  stack, when d <= SUBSTITUTION_MAX_DIM, and with LAPACK's solver
+  gufunc above that. Substitution makes about d^2 numpy calls however
+  large the stack is, where LAPACK pays a fixed cost per member, so
+  substitution is several times faster on stacks of a hundred or more
+  small matrices and several times slower on a single one.
+- ``largest_eigenvalues`` uses the closed form at d = 2 and LAPACK's
+  symmetric eigenvalue gufunc otherwise.
+
+The choice is never made by the stack size: either kernel rounds
+differently, so a trial must meet the same kernel alone as in a stack
+to get the same bits.
 
 Positive definiteness is decided by a scale-aware pivot threshold, see
 ``pd_tolerance``. Matrix sums and products that are symmetric in exact
@@ -21,9 +37,10 @@ exactly symmetric over long filter recursions.
 import math
 
 import numpy as np
-# The gufuncs behind np.linalg.cholesky/solve/svd. Called directly they
-# mark a failed member with nan and the invalid flag instead of raising
-# for the whole stack, and skip np.linalg's per-call checks.
+# The gufuncs behind np.linalg.cholesky/solve/svd/eigvalsh. Called
+# directly they mark a failed member with nan and the invalid flag
+# instead of raising for the whole stack, and skip np.linalg's per-call
+# checks.
 from numpy.linalg import _umath_linalg
 
 __all__ = [
@@ -36,9 +53,17 @@ __all__ = [
     "try_cholesky",
     "cholesky_solve",
     "solve_spd",
-    "spectral_norms",
+    "largest_eigenvalues",
     "spectral_norm",
 ]
+
+# Largest d at which cholesky_solve substitutes instead of calling
+# LAPACK. Chosen from timings at stack sizes 1, 100 and 1000 with one
+# BLAS thread: substitution is faster on stacks of 100 or more up to
+# d = 5, and slower on a single matrix at every d. Single runs at
+# d = 5 and above make tens of thousands of one-matrix solves, so those
+# dimensions stay on LAPACK.
+SUBSTITUTION_MAX_DIM = 4
 
 
 class PositiveDefiniteError(np.linalg.LinAlgError):
@@ -124,12 +149,40 @@ def cholesky_solve(factor, b):
     ``factor`` is one factor (d, d) or a stack (..., d, d). ``b`` holds
     one right-hand side per factor, (..., d), when it has one axis fewer
     than ``factor``, and columns of right-hand sides, (..., d, k),
-    otherwise. The two triangular systems are solved in turn.
+    otherwise. The two triangular systems are solved in turn, by
+    substitution when d <= SUBSTITUTION_MAX_DIM and by LAPACK above.
     """
     b = np.asarray(b, dtype=float)
-    solve = _umath_linalg.solve1 if b.ndim < factor.ndim else _umath_linalg.solve
+    vector = b.ndim < factor.ndim
+    if factor.shape[-1] <= SUBSTITUTION_MAX_DIM:
+        x = _substitute(factor[..., None], b[..., None] if vector else b)
+        return x[..., 0] if vector else x
+    solve = _umath_linalg.solve1 if vector else _umath_linalg.solve
     y = solve(factor, b, signature="dd->d")
     return solve(factor.swapaxes(-1, -2), y, signature="dd->d")
+
+
+def _substitute(lower, b):
+    """Solve L L^T x = b row by row; ``lower`` is L with a trailing unit axis.
+
+    Every operation is elementwise over the stack and the columns of
+    ``b`` (..., d, k), so each member's arithmetic is the same at any
+    stack size.
+    """
+    d = lower.shape[-2]
+    y = []
+    for i in range(d):
+        acc = b[..., i, :]
+        for j in range(i):
+            acc = acc - lower[..., i, j, :] * y[j]
+        y.append(acc / lower[..., i, i, :])
+    x = [None] * d
+    for i in range(d - 1, -1, -1):
+        acc = y[i]
+        for j in range(i + 1, d):
+            acc = acc - lower[..., j, i, :] * x[j]
+        x[i] = acc / lower[..., i, i, :]
+    return np.stack(x, axis=-2)
 
 
 def solve_spd(m, b):
@@ -143,9 +196,17 @@ def solve_spd(m, b):
     return cholesky_solve(cholesky(m), b)
 
 
-def spectral_norms(m):
-    """Largest singular value of each member of a stack of general matrices."""
-    return _umath_linalg.svd(m, signature="d->d")[..., 0]
+def largest_eigenvalues(m):
+    """Largest eigenvalue of each member of a stack (..., d, d) of symmetric matrices.
+
+    Closed form at d = 2, (a + c)/2 + hypot((a - c)/2, b), which adds
+    two nonnegative terms for a PD member; LAPACK's symmetric eigenvalue
+    gufunc otherwise. Only the lower triangle is read.
+    """
+    if m.shape[-1] == 2:
+        a, b, c = m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
+        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    return _umath_linalg.eigvalsh_lo(m, signature="d->d")[..., -1]
 
 
 def spectral_norm(m):
@@ -154,4 +215,4 @@ def spectral_norm(m):
     Equals sqrt(lambda_max(m.T m)); for symmetric PD input this is the
     largest eigenvalue.
     """
-    return float(spectral_norms(_as_square(m)))
+    return float(_umath_linalg.svd(_as_square(m), signature="d->d")[0])

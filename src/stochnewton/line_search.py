@@ -7,9 +7,10 @@ five trial lengths) are deliberately strict; both are configurable.
 ``armijo_search`` runs the searches of a whole stack of trials at once:
 the objective is evaluated once, on a (T, k, d) stack that holds every
 trial's origin and candidate points, and each trial takes its own first
-passing candidate. ``armijo_backtrack`` is its one-trial case. Values
-past a trial's accepted candidate are never looked at, so they cannot
-fail its search.
+passing candidate, and reports whether that candidate passed or the
+search ran out of halvings. ``armijo_backtrack`` is its one-trial case.
+Values past a trial's accepted candidate are never looked at, so they
+cannot fail its search.
 """
 
 import functools
@@ -33,10 +34,12 @@ def armijo_search(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
     their (T, k) values, row t on trial t's objective, and is called
     exactly once, on each trial's theta0 followed by its candidates
     theta0 + lam*v for lam = 2**-k, k = 0..max_halvings. A trial whose
-    candidates all fail takes the last one. Returns ``(lams, failures)``:
-    the (T,) step lengths, and a map from the position of each trial
-    whose h is non-finite at theta0, or at a candidate up to the one it
-    would take, to its NumericalError.
+    candidates all fail takes the last one. Returns ``(lams, satisfied,
+    failures)``: the (T,) step lengths, a (T,) mask of the trials whose
+    taken candidate passed the test (False where the search ran out of
+    halvings), and a map from the position of each trial whose h is
+    non-finite at theta0, or at a candidate up to the one it would take,
+    to its NumericalError.
     """
     lams = _step_lengths(max_halvings)
     points = np.concatenate(
@@ -44,6 +47,8 @@ def armijo_search(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
     )
     values = h(points)
     passed = values[:, 1:] - values[:, :1] <= (c * lams) * np.vecdot(v, m)[:, None]
+    # The taken candidate passed exactly when any did.
+    satisfied = passed.any(axis=1)
     # A trial whose candidates all fail takes the last one.
     passed[:, -1] = True
     taken = passed.argmax(axis=1)
@@ -58,7 +63,7 @@ def armijo_search(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
                 failures[i] = NumericalError(
                     f"objective is non-finite at trial step length {lams[bad - 1]}",
                     theta=points[i, bad])
-    return lams[taken], failures
+    return lams[taken], satisfied, failures
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,7 +87,7 @@ def armijo_backtrack(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
     is the one-trial case of ``armijo_search``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lams, failures = armijo_search(
+        lams, _, failures = armijo_search(
             lambda points: np.asarray(h(points[0]), dtype=float)[None, :],
             np.asarray(theta0, dtype=float)[None], np.asarray(v, dtype=float)[None],
             np.asarray(m, dtype=float)[None], c=c, max_halvings=max_halvings,

@@ -19,7 +19,7 @@ one-trial case, and ``unfiltered_step``/``filtered_step`` are one step
 of it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -109,22 +109,31 @@ class StackedTrace:
 
     ``thetas`` (T, S + 1, d) holds each start and the iterate after each
     step; ``directions``, ``newton_directions`` (T, S, d) and
-    ``step_lengths`` (T, S) are as in StepRecord, and ``rho`` and
-    ``fallback`` (T, S) hold rho_m and fallback_fired, nan and False
-    where those are undefined. ``failed_step`` (T,) is the step at which
-    a run failed, 0 for a run that completed, and ``errors`` maps the
-    position of a failed run to the exception that stopped it; a failed
-    run's arrays are meaningful only before its failed step.
+    ``step_lengths`` (T, S) are as in StepRecord. ``armijo_satisfied``
+    (T, S) is False where the line search ran out of halvings and took
+    its last step length anyway. ``rho`` and ``fallback`` (T, S) hold
+    rho_m and fallback_fired, and ``sigma_lam_max`` (T, S) the largest
+    eigenvalue of the prior covariance Sigma_{t-1} that rho_m is taken
+    from; they are nan and False except at filter updates.
+    ``failed_step`` (T,) is the step at which a run failed, 0 for a run
+    that completed, and ``errors`` maps the position of a failed run to
+    the exception that stopped it; a failed run's arrays are meaningful
+    only before its failed step.
     """
 
     thetas: np.ndarray
     directions: np.ndarray
     newton_directions: np.ndarray
     step_lengths: np.ndarray
+    armijo_satisfied: np.ndarray
     rho: np.ndarray
     fallback: np.ndarray
+    sigma_lam_max: np.ndarray
     failed_step: np.ndarray
     errors: dict = field(default_factory=dict)
+
+    def _arrays(self):
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "errors"}
 
     @classmethod
     def concatenate(cls, traces):
@@ -134,26 +143,33 @@ class StackedTrace:
             errors.update((offset + i, err) for i, err in trace.errors.items())
             offset += len(trace.failed_step)
         arrays = {name: np.concatenate([getattr(tr, name) for tr in traces])
-                  for name in ("thetas", "directions", "newton_directions", "step_lengths",
-                               "rho", "fallback", "failed_step")}
+                  for name in traces[0]._arrays()}
         return cls(errors=errors, **arrays)
 
     def select(self, keep):
         """The completed runs at the positions in ``keep``."""
-        return StackedTrace(self.thetas[keep], self.directions[keep],
-                            self.newton_directions[keep], self.step_lengths[keep],
-                            self.rho[keep], self.fallback[keep], self.failed_step[keep])
+        return StackedTrace(**{name: array[keep] for name, array in self._arrays().items()})
 
 
 class _Steps(NamedTuple):
-    """One step of a stack; ``rho`` and ``fallback`` only for filter updates."""
+    """One step of a stack; the last three only for filter updates."""
 
     theta_after: np.ndarray
     direction: np.ndarray
     newton_direction: np.ndarray
     step_length: np.ndarray
+    armijo_satisfied: np.ndarray
     rho: Optional[np.ndarray] = None
     fallback: Optional[np.ndarray] = None
+    sigma_lam_max: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, trace, t, updated):
+        """Step t of every run of a StackedTrace; ``updated`` if it was a filter update."""
+        s = t - 1
+        update = (trace.rho[:, s], trace.fallback[:, s], trace.sigma_lam_max[:, s]) if updated else ()
+        return cls(trace.thetas[:, t], trace.directions[:, s], trace.newton_directions[:, s],
+                   trace.step_lengths[:, s], trace.armijo_satisfied[:, s], *update)
 
     def record(self, i, t, theta_before, batch):
         return StepRecord(
@@ -181,7 +197,7 @@ def _stacked_step(obj, theta, idx, belief, cfg, filtered, t):
     """
     obs, failures = evaluate_batches(obj, theta, idx)
     newton = obs.newton_direction()
-    rho = fallback = None
+    rho = fallback = lam_max = None
     if not filtered:
         direction = newton
     elif belief is None:
@@ -194,14 +210,15 @@ def _stacked_step(obj, theta, idx, belief, cfg, filtered, t):
             failures.setdefault(i, FilterDivergenceError(str(err), step=t))
         belief = upd.belief
         direction = belief.direction()
-        rho, fallback = upd.momentum.rho, upd.fallback_fired
-    lams, search = line_search.armijo_search(
+        rho, fallback, lam_max = upd.rho, upd.fallback_fired, upd.sigma_lam_max
+    lams, satisfied, search = line_search.armijo_search(
         lambda points: batch_mean_values(obj, points, idx[:, None, :]), theta, direction, obs.f,
         c=cfg.armijo_c, max_halvings=cfg.armijo_max_halvings,
     )
     for i, err in search.items():
         failures.setdefault(i, err)
-    steps = _Steps(theta + lams[:, None] * direction, direction, newton, lams, rho, fallback)
+    steps = _Steps(theta + lams[:, None] * direction, direction, newton, lams, satisfied,
+                   rho, fallback, lam_max)
     return steps, belief, failures
 
 
@@ -271,8 +288,10 @@ def run_trials(obj, theta0, batches, cfg):
         directions=np.full((count, steps, obj.d), np.nan),
         newton_directions=np.full((count, steps, obj.d), np.nan),
         step_lengths=np.full((count, steps), np.nan),
+        armijo_satisfied=np.zeros((count, steps), dtype=bool),
         rho=np.full((count, steps), np.nan),
         fallback=np.zeros((count, steps), dtype=bool),
+        sigma_lam_max=np.full((count, steps), np.nan),
         failed_step=np.zeros(count, dtype=int),
     )
     trace.thetas[:, 0] = theta
@@ -288,9 +307,11 @@ def run_trials(obj, theta0, batches, cfg):
             trace.directions[live, t - 1] = step.direction
             trace.newton_directions[live, t - 1] = step.newton_direction
             trace.step_lengths[live, t - 1] = step.step_length
+            trace.armijo_satisfied[live, t - 1] = step.armijo_satisfied
             if step.rho is not None:
                 trace.rho[live, t - 1] = step.rho
                 trace.fallback[live, t - 1] = step.fallback
+                trace.sigma_lam_max[live, t - 1] = step.sigma_lam_max
             theta = step.theta_after
             if failures:
                 members = np.arange(count)[live]
@@ -324,21 +345,12 @@ def run(obj, theta0, cfg, rng, seed_info=""):
         1, cfg.max_steps, cfg.batch_size)
     stacked = run_trials(obj, theta, batches, cfg)
     failed = int(stacked.failed_step[0])
-    trace = TrialTrace(seed_info=seed_info)
     filtered = cfg.filter is not None
-    for t in range(1, failed or cfg.max_steps + 1):
-        updated = filtered and t > 1
-        trace.records.append(StepRecord(
-            t=t,
-            theta_before=stacked.thetas[0, t - 1],
-            theta_after=stacked.thetas[0, t],
-            direction=stacked.directions[0, t - 1],
-            step_length=float(stacked.step_lengths[0, t - 1]),
-            batch=batches[0, t - 1],
-            newton_direction=stacked.newton_directions[0, t - 1],
-            rho_m=float(stacked.rho[0, t - 1]) if updated else None,
-            fallback_fired=bool(stacked.fallback[0, t - 1]) if updated else None,
-        ))
+    trace = TrialTrace(seed_info=seed_info, records=[
+        _Steps.of(stacked, t, filtered and t > 1).record(0, t, stacked.thetas[0, t - 1],
+                                                          batches[0, t - 1])
+        for t in range(1, failed or cfg.max_steps + 1)
+    ])
     if failed:
         raise StepError(failed, trace) from stacked.errors[0]
     return trace

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import stochnewton
 from stochnewton import cli
 from stochnewton.cli import main
 
@@ -25,6 +31,26 @@ def test_run_paired_deterministic_bytes(tmp_path):
         x = (tmp_path / f"x.{suffix}.csv").read_bytes()
         y = (tmp_path / f"y.{suffix}.csv").read_bytes()
         assert x == y
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "200"],
+    ["--n", "2000", "--d", "20", "--batch", "100", "--trials", "30"],
+], ids=["d2", "d20"])
+def test_run_paired_bytes_do_not_depend_on_blas_threads(tmp_path, extra):
+    src = str(Path(stochnewton.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "stochnewton.cli", "run-paired", "--seed", "3",
+                        *extra, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        outputs.append([(tmp_path / f"{out.name}.{suffix}.csv").read_bytes()
+                        for suffix in ("table1", "curves")])
+    assert outputs[0] == outputs[1]
 
 
 def test_check_prop1_satisfied(capsys):

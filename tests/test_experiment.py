@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,7 @@ from stochnewton.experiment import (
     signed_angular_error,
 )
 from stochnewton.objectives import LeastSquaresData, LeastSquaresObjective, evaluate_batch
-from stochnewton.optim import StepRecord, TrialTrace, run
+from stochnewton.optim import run
 from stochnewton.streams import BATCH_STREAM, DATA_STREAM, derive_stream
 
 
@@ -214,7 +216,9 @@ def test_failed_trials_are_excluded_and_counted(monkeypatch):
     # Trial 3 starts where its batch objective overflows.
     _start_trials_at(monkeypatch, {3: 1e200})
     result = run_paired_trials(small_config(trials=200, steps=3))
-    assert result.failures == [(3, "StepError: optimization failed at step 1")]
+    # The reason is the error that stopped the trial, with its type and step.
+    assert result.failures == [(3, "NumericalError at step 1: non-finite batch evaluation "
+                                   "at theta=array([1.e+200, 1.e+200])")]
     assert len(result.trials) == 199 and 3 not in result.trials
     assert result.filtered.thetas.shape[0] == result.unfiltered.thetas.shape[0] == 199
 
@@ -257,29 +261,18 @@ def test_curve_lengths_match_steps():
 # rho monitor
 # ---------------------------------------------------------------------------
 
-def _fake_trace(rhos):
-    records = []
-    for i, rho in enumerate(rhos, start=1):
-        records.append(StepRecord(
-            t=i, theta_before=np.zeros(2), theta_after=np.zeros(2),
-            direction=np.zeros(2), step_length=1.0, batch=np.zeros(1, dtype=int),
-            rho_m=rho, fallback_fired=False,
-        ))
-    return TrialTrace(records=records)
-
-
 def test_rho_monitor_empty():
-    summary = rho_monitor_summary([])
+    summary = rho_monitor_summary(np.empty((0, 0)))
     assert summary.step_max.size == 0
     assert summary.violations == []
 
 
 def test_rho_monitor_maxima_and_violations():
-    traces = [
-        _fake_trace([None, 0.5, 0.7, 0.85, 0.3, 0.9, 0.4]),
-        _fake_trace([None, 0.6, 0.2, 0.10, 0.2, 0.1, 0.81]),
-    ]
-    summary = rho_monitor_summary(traces, threshold=0.8, min_step=5)
+    rho = np.array([
+        [np.nan, 0.5, 0.7, 0.85, 0.3, 0.9, 0.4],
+        [np.nan, 0.6, 0.2, 0.10, 0.2, 0.1, 0.81],
+    ])
+    summary = rho_monitor_summary(rho, threshold=0.8, min_step=5)
     assert np.isnan(summary.step_max[0])
     assert summary.step_max[1] == 0.6
     assert summary.step_max[3] == 0.85  # step 4: below min_step, not flagged
@@ -287,7 +280,7 @@ def test_rho_monitor_maxima_and_violations():
 
 
 def test_rho_monitor_stationary_trace():
-    summary = rho_monitor_summary([_fake_trace([None] + [0.9] * 5)], threshold=0.8)
+    summary = rho_monitor_summary(np.array([[np.nan] + [0.9] * 5]), threshold=0.8)
     assert summary.violations == [6]
     assert_allclose(summary.step_max[1:], 0.9)
 
@@ -330,6 +323,28 @@ def test_csv_rho_columns_empty_for_unfiltered(tmp_path):
     # Step 1 has no momentum matrix; later steps do.
     assert filtered_rows[0].split(",")[8] == ""
     assert filtered_rows[1].split(",")[8] != ""
+
+
+def test_csv_does_not_depend_on_the_recorded_decisions(tmp_path, monkeypatch):
+    # sigma_lam_max and armijo_satisfied are diagnostics: emptying them
+    # leaves the CSVs byte for byte as they were.
+    cfg = small_config(trials=20, steps=5)
+    result = run_paired_trials(cfg)
+    emit_csv(result.stats, result.curves, tmp_path / "with")
+    engine = experiment.run_trials
+
+    def run_trials(obj, theta0, batches, ocfg):
+        trace = engine(obj, theta0, batches, ocfg)
+        return dataclasses.replace(trace, armijo_satisfied=~trace.armijo_satisfied,
+                                   sigma_lam_max=np.full_like(trace.sigma_lam_max, np.nan))
+
+    monkeypatch.setattr(experiment, "run_trials", run_trials)
+    result = run_paired_trials(cfg)
+    assert np.isnan(result.filtered.sigma_lam_max).all()
+    emit_csv(result.stats, result.curves, tmp_path / "without")
+    for suffix in ("table1", "curves"):
+        assert ((tmp_path / f"with.{suffix}.csv").read_bytes()
+                == (tmp_path / f"without.{suffix}.csv").read_bytes())
 
 
 def test_csv_reruns_are_byte_identical(tmp_path):

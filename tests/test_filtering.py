@@ -386,7 +386,7 @@ def test_stacked_update_equals_one_trial_updates_bitwise(stack):
         assert np.array_equal(one.belief.mu, upd.belief.mu[i])
         assert np.array_equal(one.belief.sigma, upd.belief.sigma[i])
         assert one.fallback_fired == upd.fallback_fired[i]
-        assert one.momentum.rho == upd.momentum.rho[i]
+        assert one.momentum.rho == upd.rho[i]
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,4 +414,30 @@ def test_stacked_momentum_meets_the_contraction_bound(stack):
     upd, _ = stacked_update(cfg, prev, observation)
     lam = np.linalg.eigvalsh(prev.sigma)
     bound = cfg.alpha * lam[:, -1] / (cfg.alpha ** 2 * lam[:, 0] + cfg.beta)
-    assert np.all(upd.momentum.rho <= bound * (1.0 + 1e-9))
+    assert np.all(upd.rho <= bound * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 20])
+def test_stacked_rho_equals_the_norm_of_the_formed_momentum_matrix(d):
+    # rho is taken from lam_max(Sigma_{t-1}) (closed form at d = 2,
+    # eigvalsh above) and never from M_t; it must match the SVD norm of
+    # the M_t that momentum_matrix forms.
+    rng = np.random.default_rng(70 + d)
+    count = 40
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=d)
+    sigma = np.array([random_spd(rng, d, 0.02, 5.0) for _ in range(count)])
+    q = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
+    prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma,
+                          sigma_factor=np.linalg.cholesky(sigma))
+    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
+                                   q_factor=np.linalg.cholesky(q))
+    upd, failures = stacked_update(cfg, prev, observation)
+    assert not failures
+    expected = [momentum_matrix(cfg, s).rho for s in sigma]
+    assert_allclose(upd.rho, expected, rtol=1e-12, atol=0)
+    lam = upd.sigma_lam_max
+    assert np.array_equal(upd.rho, cfg.alpha * lam / (cfg.alpha ** 2 * lam + cfg.beta))
+    # The same rho from LAPACK's eigenvalues, which the closed form replaces at d = 2.
+    lam = np.linalg.eigvalsh(sigma)[:, -1]
+    assert_allclose(cfg.alpha * lam / (cfg.alpha ** 2 * lam + cfg.beta), expected,
+                    rtol=1e-12, atol=0)

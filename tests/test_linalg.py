@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from stochnewton.linalg import (
+    SUBSTITUTION_MAX_DIM,
     PositiveDefiniteError,
     cholesky,
+    cholesky_solve,
+    largest_eigenvalues,
     pd_tolerance,
     solve_spd,
     spectral_norm,
@@ -142,3 +146,57 @@ def test_sym_halves_asymmetry():
 def test_pd_tolerance_is_scale_aware():
     assert pd_tolerance(np.eye(4)) == pytest.approx(2e-12)
     assert pd_tolerance(100.0 * np.eye(4)) == pytest.approx(1e-12 * 101.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked solves and eigenvalues
+# ---------------------------------------------------------------------------
+
+def _right_hand_side(rng, kind, count, d):
+    if kind == "vector":
+        return rng.standard_normal((count, d))
+    if kind == "matrix":
+        return rng.standard_normal((count, d, 3))
+    return np.eye(d)[None]  # broadcast over the stack, as the filter passes it
+
+
+@pytest.mark.parametrize("kind", ["vector", "matrix", "identity"])
+@pytest.mark.parametrize("d", range(1, SUBSTITUTION_MAX_DIM + 1))
+def test_substitution_agrees_with_lapack_solve(d, kind):
+    rng = np.random.default_rng(d)
+    count = 200
+    m = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
+    b = _right_hand_side(rng, kind, count, d)
+    x = cholesky_solve(np.linalg.cholesky(m), b)
+    if kind == "vector":
+        ref = np.linalg.solve(m, b[..., None])[..., 0]
+    else:
+        ref = np.linalg.solve(m, np.broadcast_to(b, (count, d, b.shape[-1])))
+    err = np.abs(x - ref).reshape(count, -1).max(axis=1)
+    scale = np.abs(ref).reshape(count, -1).max(axis=1)
+    assert np.all(err <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, SUBSTITUTION_MAX_DIM, SUBSTITUTION_MAX_DIM + 1, 20]),
+       count=st.integers(1, 6), kind=st.sampled_from(["vector", "matrix", "identity"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_solve_equals_one_member_solves_bitwise(d, count, kind, seed):
+    # The kernel is chosen by d alone, so a member gets the same bits in
+    # a stack of any size.
+    rng = np.random.default_rng(seed)
+    factor = np.linalg.cholesky(np.array([random_spd(rng, d) for _ in range(count)]))
+    b = _right_hand_side(rng, kind, count, d)
+    stacked = cholesky_solve(factor, b)
+    for i in range(count):
+        member = b if kind == "identity" else b[i:i + 1]
+        assert np.array_equal(cholesky_solve(factor[i:i + 1], member)[0], stacked[i])
+        if kind == "vector":
+            assert np.array_equal(cholesky_solve(factor[i], b[i]), stacked[i])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 20])
+def test_largest_eigenvalues_match_lapack(d):
+    rng = np.random.default_rng(30 + d)
+    m = np.array([random_spd(rng, d, 0.01, 10.0) for _ in range(100)])
+    assert_allclose(largest_eigenvalues(m), np.linalg.eigvalsh(m)[:, -1], rtol=1e-12, atol=0)

@@ -10,6 +10,7 @@ from stochnewton.objectives import (
     LeastSquaresObjective,
     NumericalError,
     SubsampledObjective,
+    batch_mean_values,
     bernoulli_scalar_family,
     evaluate_batch,
     sample_batch,
@@ -306,10 +307,48 @@ def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
         assert alone.failed_step[0] == stacked.failed_step[i]
         done = stacked.failed_step[i] - 1 if stacked.failed_step[i] else steps
         assert np.array_equal(alone.thetas[0, :done + 1], stacked.thetas[i, :done + 1])
-        for name in ("directions", "newton_directions", "step_lengths", "rho", "fallback"):
+        for name in ("directions", "newton_directions", "step_lengths", "armijo_satisfied", "rho",
+                     "fallback", "sigma_lam_max"):
             assert np.array_equal(getattr(alone, name)[0, :done], getattr(stacked, name)[i, :done],
                                   equal_nan=True)
     # The one-trial entry point is the same engine.
     trace = run(obj, theta0[0], cfg, derive_stream(5, 1, 0))
     again = run_trials(obj, theta0[0], np.array([[rec.batch for rec in trace.records]]), cfg)
     assert np.array_equal(trace.thetas(), again.thetas[0, 1:])
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_trace_records_rho_source_and_armijo_outcome(case):
+    obj, size = _engine_cases()[case]
+    count, steps, c = 5, 8, 0.95
+    rng = np.random.default_rng(20 + case)
+    theta0 = rng.uniform(-1.0, 1.0, size=(count, obj.d))
+    batches = rng.integers(0, obj.n, size=(count, steps, size))
+    fcfg = FilterConfig(alpha=0.9, beta=0.2, dim=obj.d)
+    satisfied = []
+    for filt in (None, fcfg):
+        cfg = OptimizerConfig(batch_size=size, max_steps=steps, filter=filt, armijo_c=c)
+        trace = run_trials(obj, theta0, batches, cfg)
+        assert not trace.failed_step.any()
+        lam = trace.sigma_lam_max
+        if filt is None:
+            assert np.isnan(lam).all()
+        else:
+            # Defined at every filter update, and rho is exactly its image.
+            assert np.isnan(lam[:, 0]).all() and not np.isnan(lam[:, 1:]).any()
+            rho = fcfg.alpha * lam / (fcfg.alpha ** 2 * lam + fcfg.beta)
+            assert np.array_equal(rho, trace.rho, equal_nan=True)
+        # The flag is the sufficient-decrease test at the step length taken.
+        for i in range(count):
+            for t in range(1, steps + 1):
+                idx = np.sort(batches[i, t - 1])
+                points = trace.thetas[i, t - 1:t + 1]
+                before, after = batch_mean_values(obj, points[None], idx[None, None])[0]
+                v = trace.directions[i, t - 1]
+                f = evaluate_batch(obj, points[0], idx).f
+                lam_t = trace.step_lengths[i, t - 1]
+                passed = after - before <= (c * lam_t) * np.vecdot(v, f)
+                assert trace.armijo_satisfied[i, t - 1] == passed
+        satisfied.append(trace.armijo_satisfied)
+    satisfied = np.concatenate(satisfied)
+    assert satisfied.any() and not satisfied.all()
