@@ -422,16 +422,16 @@ class RhoMonitorSummary:
     violations: List[int]
 
 
-def rho_monitor_summary(rho, threshold=0.8, min_step=5):
+def rho_monitor_summary(traces, threshold=0.8, min_step=5):
     """Max rho(M_t) per step over filtered runs, flagging late violations.
 
-    ``rho`` is the (trials, steps) array of the runs' rho_m values, with
-    nan where there is none, as in ``StackedTrace.rho``. A step
+    ``traces`` is the (trials, steps) array of the runs' rho_m values,
+    with nan where there is none, as in ``StackedTrace.rho``. A step
     t > min_step is flagged when its maximum reaches the threshold.
     Steps with no momentum matrix (the first step) hold nan and are
     never flagged.
     """
-    step_max = np.fmax.reduce(rho, axis=0, initial=np.nan)
+    step_max = np.fmax.reduce(traces, axis=0, initial=np.nan)
     steps = step_max.shape[0]
     violations = [
         t for t in range(min_step + 1, steps + 1)
