@@ -164,12 +164,11 @@ class _Steps(NamedTuple):
     sigma_lam_max: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, trace, t, updated):
-        """Step t of every run of a StackedTrace; ``updated`` if it was a filter update."""
-        s = t - 1
-        update = (trace.rho[:, s], trace.fallback[:, s], trace.sigma_lam_max[:, s]) if updated else ()
-        return cls(trace.thetas[:, t], trace.directions[:, s], trace.newton_directions[:, s],
-                   trace.step_lengths[:, s], trace.armijo_satisfied[:, s], *update)
+    def of_run(cls, trace, i):
+        """Every step of run ``i`` of a StackedTrace, with the step as the leading axis."""
+        return cls(trace.thetas[i, 1:], trace.directions[i], trace.newton_directions[i],
+                   trace.step_lengths[i], trace.armijo_satisfied[i], trace.rho[i],
+                   trace.fallback[i], trace.sigma_lam_max[i])
 
     def record(self, i, t, theta_before, batch):
         return StepRecord(
@@ -345,9 +344,12 @@ def run(obj, theta0, cfg, rng, seed_info=""):
         1, cfg.max_steps, cfg.batch_size)
     stacked = run_trials(obj, theta, batches, cfg)
     failed = int(stacked.failed_step[0])
+    updates = _Steps.of_run(stacked, 0)
+    # Steps that were not filter updates record no rho_m or fallback_fired.
+    plain = updates._replace(rho=None, fallback=None, sigma_lam_max=None)
     filtered = cfg.filter is not None
     trace = TrialTrace(seed_info=seed_info, records=[
-        _Steps.of(stacked, t, filtered and t > 1).record(0, t, stacked.thetas[0, t - 1],
+        (updates if filtered and t > 1 else plain).record(t - 1, t, stacked.thetas[0, t - 1],
                                                           batches[0, t - 1])
         for t in range(1, failed or cfg.max_steps + 1)
     ])
