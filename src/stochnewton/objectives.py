@@ -10,26 +10,35 @@ families are built in:
 * natural-parameter exponential-family maximum likelihood,
 * canonical generalized linear models with scalar response.
 
-Each family implements one numpy kernel, ``row_terms``: the per-sample
-value, gradient and Hessian of sample ``idx[...]`` at ``theta[..., :]``
-for any broadcastable stack of (theta, index) pairs.
-``SubsampledObjective.batch_sums`` adds the rows of each batch up in
-ascending index order with a sequential reduction (never BLAS or
-numpy's pairwise summation; see ``_sequential_sum``), so a batch sum is
-a pure function of theta and the batch multiset, equal bit for bit to
-adding the per-sample terms one at a time, whatever the caller, the
-stack it sits in or the thread count. ``evaluate_batches`` forms the
+Each family implements one numpy kernel, ``row_terms``: for any
+broadcastable stack of (theta, batch) pairs it returns the per-sample
+values and gradients of the batch as rows, and the sum of the
+per-sample Hessians over the batch. ``SubsampledObjective.batch_sums``
+turns these into batch sums under a rule with two parts:
+
+* Values and gradients are added up in ascending index order with a
+  sequential reduction (never BLAS or numpy's pairwise summation; see
+  ``_sequential_sum``), so their batch sums equal, bit for bit, adding
+  the per-sample terms one at a time.
+* The Hessian sum is one Gram product per member of the stack,
+  X_b^T diag(w) X_b, where the rows of X_b are the batch's covariates
+  (least squares has w = 1 and a canonical GLM w = A''(eta)), or b
+  times the shared Hessian for an exponential family. It agrees with
+  the sequential sum to rounding, not bit for bit, but it is
+  deterministic: a member gets the same bits alone as in a stack, and
+  under any BLAS thread count.
+
+Either way a batch sum is a pure function of theta and the batch
+multiset, whatever the caller. ``evaluate_batches`` forms the
 regularized batch observation of a whole stack of trials at once;
 ``evaluate_batch`` is its one-trial case, and per-sample
-``value_grad_hess`` the one-index case of the kernel.
+``value_grad_hess`` the one-index case of ``batch_sums``.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import PositiveDefiniteError, cholesky, cholesky_factors, cholesky_solve, sym
 
@@ -58,11 +67,6 @@ __all__ = [
     "fisher_identity_check",
 ]
 
-# Row terms that batch_sums holds at once; longer batches are summed in
-# chunks of rows, so memory stays flat in the batch size.
-_ROW_BUDGET = 1 << 16
-
-
 class NumericalError(RuntimeError):
     """Non-finite quantity produced while evaluating an objective."""
 
@@ -84,15 +88,18 @@ class BatchObservation:
     ``q_factor`` is the lower Cholesky factor of ``q``, so that the
     Newton solve and the filter reuse the factorization that certified
     ``q`` as PD. When it is not given it is computed from ``q``, and a
-    ``q`` that is not PD raises PositiveDefiniteError. The observations
-    of a stack of trials (see ``evaluate_batches``) share one object
-    whose fields carry a leading trial axis.
+    ``q`` that is not PD raises PositiveDefiniteError. ``ridge_eps`` is
+    the eps of the eps*I that the ridge added to the batch-mean Hessian
+    to make ``q``, 0 where none was added. The observations of a stack
+    of trials (see ``evaluate_batches``) share one object whose fields
+    carry a leading trial axis.
     """
 
     f: np.ndarray
     q: np.ndarray
     value: float
     q_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    ridge_eps: float = 0.0
 
     def __post_init__(self):
         if self.q_factor is None:
@@ -112,99 +119,107 @@ def sample_batch(rng, n, size):
     return rng.integers(0, n, size=size)
 
 
-def _sequential_sum(rows, shape, carry):
-    """``carry`` plus the rows of ``rows`` (shape (b, ...)), added one row at a time.
+def _sequential_sum(rows, shape):
+    """The rows of ``rows`` (shape (b, ...)) added one row at a time.
 
-    ``rows`` is first made a C-contiguous array of ``shape`` that this
-    function owns. Over such an array ``np.add.reduce`` along the first
-    axis adds one whole row at a time into the running total, which is a
+    This is the summation rule for batch values and gradients. ``rows``
+    is first made a C-contiguous array of ``shape`` that this function
+    owns. Over such an array ``np.add.reduce`` along the first axis adds
+    one whole row at a time into the running total, which is a
     sequential sum in every column, as long as a row holds more than one
     number; with a single number per row numpy would switch to pairwise
     summation, so that case goes through ``np.add.accumulate`` instead.
-    ``carry`` is added into the first row in place.
     """
     if rows.shape != shape or not (rows.flags.c_contiguous and rows.flags.owndata):
         rows = np.array(np.broadcast_to(rows, shape), order="C")
-    if carry is not None:
-        rows[0] += carry
     if rows.size == shape[0]:
         return np.add.accumulate(rows.reshape(-1))[-1:].reshape(shape[1:])
     return np.add.reduce(rows, axis=0)
+
+
+def _gram(xs, weights=None):
+    """sum_k w_k x_k x_k^T over the rows x_k along the first axis of ``xs``.
+
+    ``xs`` is (b, ..., d) and ``weights`` (b, ...) or None for w = 1;
+    the leading shapes after the row axis broadcast. This is the
+    summation rule for batch Hessians: one matrix product X^T diag(w) X
+    per member of the stack, which numpy hands to BLAS one member at a
+    time, so a member's bits do not depend on the stack around it.
+    """
+    # (b, ..., d) -> (..., b, d); transpose is much cheaper than moveaxis
+    # on the one-trial path.
+    xs = xs.transpose((*range(1, xs.ndim - 1), 0, xs.ndim - 1))
+    if weights is None:
+        return np.matmul(xs.mT, xs)
+    weights = weights.transpose((*range(1, weights.ndim), 0))
+    return np.matmul(xs.mT * weights[..., None, :], xs)
 
 
 class SubsampledObjective:
     """Base class for averaged log-loss objectives.
 
     Subclasses set ``n`` and ``d`` and implement the vectorized kernel
-    ``row_terms``. An objective that defines only the per-sample
-    ``value_grad_hess`` also works: the base ``row_terms`` then calls it
-    once per (theta, index) pair. Either way, sums over a batch are
-    formed by ``batch_sums`` in the order of the given indices, which
-    callers sort ascending. Per-sample Hessians must be symmetric
-    positive semidefinite.
+    ``row_terms``. Sums over a batch are formed by ``batch_sums`` in the
+    order of the given indices, which callers sort ascending. Per-sample
+    Hessians must be symmetric positive semidefinite.
     """
 
     n: int
     d: int
 
     def row_terms(self, theta, idx, derivatives=True):
-        """Per-sample terms of sample ``idx[...]`` at ``theta[..., :]``.
+        """Per-sample terms of the samples ``idx[k, ...]`` at ``theta[..., :]``.
 
-        ``theta`` has shape (..., d) and ``idx`` an integer shape that
-        broadcasts with ``theta.shape[:-1]`` to a shape S. Returns the
-        tuple (values,) or, with ``derivatives``, (values, gradients,
-        Hessians): values of shape S, and gradients and Hessians that
-        broadcast to S + (d,) and S + (d, d). This default loops over
-        ``value_grad_hess``.
+        ``idx`` is an integer array (b, ...) holding one batch row per
+        index of its first axis, and ``theta`` (1, ..., d) a stack of
+        points; the shapes after their first axes broadcast to L.
+        Returns the tuple (values,) or, with ``derivatives``, (values,
+        gradients, Hessian sum): value and gradient rows that broadcast
+        to (b,) + L and (b,) + L + (d,), and the sum over the b rows of
+        the per-sample Hessians, which broadcasts to L + (d, d).
         """
-        shape = np.broadcast_shapes(theta.shape[:-1], np.shape(idx))
-        thetas = np.broadcast_to(theta, shape + theta.shape[-1:])
-        idx = np.broadcast_to(idx, shape)
-        terms = [self.value_grad_hess(thetas[i], int(idx[i])) for i in np.ndindex(shape)]
-        return tuple(
-            np.array([term[part] for term in terms], dtype=float).reshape(shape + (self.d,) * part)
-            for part in range(3 if derivatives else 1)
-        )
+        raise NotImplementedError("implement row_terms")
 
     def batch_sums(self, theta, idx, derivatives=True):
-        """Sums of the ``row_terms`` over the last axis of ``idx``, in its order.
+        """Sums of the per-sample terms over the last axis of ``idx``.
 
         ``theta`` has shape (..., d) and ``idx`` shape (..., b), with
         leading shapes that broadcast to L: one batch per theta, one
         batch for a stack of thetas, or one theta for a stack of
         batches. Returns (values,) or (values, gradients, Hessians) of
-        shapes L, L + (d,), L + (d, d). Overflow produces inf or nan,
-        with numpy's warning unless the caller's error state silences it;
-        callers check the result for finiteness.
+        shapes L, L + (d,), L + (d, d). Values and gradients are the
+        sequential sums of ``row_terms``'s rows in the order of ``idx``;
+        the Hessians are the kernel's Gram sums (see the module
+        docstring). Overflow produces inf or nan, with numpy's warning
+        unless the caller's error state silences it; callers check the
+        result for finiteness.
         """
         theta = np.asarray(theta, dtype=float)
         idx = np.asarray(idx, dtype=np.intp)
         lead = theta.shape[:-1]
         if idx.shape[:-1] != lead:
             lead = np.broadcast_shapes(lead, idx.shape[:-1])
-        tails = ((), (self.d,), (self.d, self.d)) if derivatives else ((),)
-        width = 1 + self.d + self.d ** 2 if derivatives else 1
-        chunk = max(1, _ROW_BUDGET // (math.prod(lead) * width))
-        # The kernel sees the rows along a new first axis, so that each
-        # part comes back with its rows first, ready to be summed.
+        # The kernel sees the rows along a new first axis, so that values
+        # and gradients come back with their rows first, ready to be summed.
         rank = len(lead)
         theta = theta.reshape((1,) * (rank + 2 - theta.ndim) + theta.shape)
         rows = idx.reshape((1,) * (rank + 1 - idx.ndim) + idx.shape)
         rows = rows.transpose((rank,) + tuple(range(rank)))
-        sums = [None] * len(tails)
-        for start in range(0, rows.shape[0], chunk):
-            part_rows = rows[start:start + chunk]
-            parts = self.row_terms(theta, part_rows, derivatives)
-            for k, (part, tail) in enumerate(zip(parts, tails)):
-                sums[k] = _sequential_sum(part, part_rows.shape[:1] + lead + tail, sums[k])
+        terms = self.row_terms(theta, rows, derivatives)
+        sums = [_sequential_sum(part, rows.shape[:1] + lead + tail)
+                for part, tail in zip(terms[:2], ((), (self.d,)))]
+        if derivatives:
+            hess = terms[2]
+            # np.broadcast_to costs microseconds, which a one-trial step notices.
+            if hess.shape != lead + (self.d, self.d):
+                hess = np.broadcast_to(hess, lead + (self.d, self.d))
+            sums.append(hess)
         return tuple(sums)
 
     def value_grad_hess(self, theta, j):
-        """Per-sample (log g_j(theta), gradient, Hessian)."""
-        if type(self).row_terms is SubsampledObjective.row_terms:
-            raise NotImplementedError("implement row_terms or value_grad_hess")
+        """Per-sample (log g_j(theta), gradient, Hessian): the one-index case of ``batch_sums``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grad, hess = self.row_terms(np.asarray(theta, dtype=float), np.intp(j))
+            value, grad, hess = self.batch_sums(theta, np.full(1, j, dtype=np.intp))
         return float(value), np.array(grad), np.array(hess)
 
     def value(self, theta, j):
@@ -221,11 +236,13 @@ def _regularize_hessians(q):
     ``q`` is a (T, d, d) stack, changed in place. Every finite member
     that is not PD gets eps*I added, with eps = 1e-8 * (1 + trace(q)/d),
     doubling eps up to ten times before giving up. Returns (q, lower
-    Cholesky factors, PD mask).
+    Cholesky factors, PD mask, eps), where ``eps`` (T,) is the ridge
+    that made each member PD, 0 where none was added or none sufficed.
     """
     factors, ok = cholesky_factors(q)
+    ridge = np.zeros(len(q))
     if ok.all():
-        return q, factors, ok
+        return q, factors, ok, ridge
     need = np.flatnonzero(~ok & np.isfinite(q).all(axis=(-2, -1)))
     d = q.shape[-1]
     sub = q[need]
@@ -238,8 +255,9 @@ def _regularize_hessians(q):
         trial_factors, passed = cholesky_factors(trial)
         done = need[passed]
         q[done], factors[done], ok[done] = trial[passed], trial_factors[passed], True
+        ridge[done] = eps[passed]
         need, sub, eps = need[~passed], sub[~passed], 2.0 * eps[~passed]
-    return q, factors, ok
+    return q, factors, ok, ridge
 
 
 def sorted_batch(obj, batch):
@@ -268,7 +286,7 @@ def evaluate_batches(obj, theta, idx):
     """
     value, f, q = obj.batch_sums(theta, idx)
     size = idx.shape[-1]
-    q, q_factor, pd = _regularize_hessians(sym(q / size))
+    q, q_factor, pd, ridge_eps = _regularize_hessians(sym(q / size))
     failures = {}
     # A non-finite Hessian never passes as PD, so the per-member masks
     # are formed only when a test on the whole stack fails.
@@ -280,7 +298,8 @@ def evaluate_batches(obj, theta, idx):
             failures[i] = PositiveDefiniteError(
                 "batch Hessian is not positive definite even after ridge regularization"
             )
-    return BatchObservation(f=f / size, q=q, value=value / size, q_factor=q_factor), failures
+    return BatchObservation(f=f / size, q=q, value=value / size, q_factor=q_factor,
+                            ridge_eps=ridge_eps), failures
 
 
 def evaluate_batch(obj, theta, batch):
@@ -302,7 +321,7 @@ def evaluate_batch(obj, theta, batch):
     if failures:
         raise failures[0]
     return BatchObservation(f=obs.f[0], q=obs.q[0], value=float(obs.value[0]),
-                            q_factor=obs.q_factor[0])
+                            q_factor=obs.q_factor[0], ridge_eps=float(obs.ridge_eps[0]))
 
 
 def batch_mean_values(obj, thetas, idx):
@@ -369,7 +388,7 @@ class LeastSquaresObjective(SubsampledObjective):
     """log g_j(theta) = (y_j - theta.x_j)^2 / 2.
 
     Gradient x_j r_j with r_j = theta.x_j - y_j; Hessian x_j x_j^T,
-    which does not depend on theta.
+    which does not depend on theta, so a batch Hessian is X_b^T X_b.
     """
 
     def __init__(self, data):
@@ -383,7 +402,7 @@ class LeastSquaresObjective(SubsampledObjective):
         value = 0.5 * r * r
         if not derivatives:
             return (value,)
-        return value, xs * r[..., None], xs[..., :, None] * xs[..., None, :]
+        return value, xs * r[..., None], _gram(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +445,20 @@ def gaussian_family(d=1):
     )
 
 
+def _logistic(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise.
+
+    Written as exp(-log(1 + exp(-x))), which is finite and raises no
+    floating-point warning for any finite x.
+    """
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
+def _bernoulli_variance(eta):
+    p = _logistic(eta)
+    return p * (1.0 - p)
+
+
 def bernoulli_family():
     """Bernoulli in the natural (log-odds) parameterization."""
     return ExpFamily(
@@ -433,10 +466,10 @@ def bernoulli_family():
         k=1,
         t=lambda xs: np.atleast_2d(np.asarray(xs, dtype=float).reshape(-1, 1)),
         a=lambda theta: float(np.logaddexp(0.0, theta[0])),
-        grad_a=lambda theta: np.array([float(expit(theta[0]))]),
-        hess_a=lambda theta: np.array([[float(expit(theta[0])) * (1.0 - float(expit(theta[0])))]]),
+        grad_a=lambda theta: np.array([float(_logistic(theta[0]))]),
+        hess_a=lambda theta: np.array([[float(_bernoulli_variance(theta[0]))]]),
         sample=lambda rng, theta, size: (
-            rng.random((size, 1)) < expit(theta[0])
+            rng.random((size, 1)) < _logistic(theta[0])
         ).astype(float),
         name="bernoulli",
     )
@@ -447,7 +480,8 @@ class ExpFamilyObjective(SubsampledObjective):
 
     log g_j(theta) = A(theta) - <theta, T(x_j)> up to the carrier term,
     which is constant in theta and therefore omitted. The per-sample
-    Hessian is hess_a(theta) for every j.
+    Hessian is hess_a(theta) for every j, so a batch of b samples has
+    the Hessian sum b * hess_a(theta).
     """
 
     def __init__(self, family, samples):
@@ -473,7 +507,7 @@ class ExpFamilyObjective(SubsampledObjective):
             grad_a = np.array([np.asarray(fam.grad_a(th), dtype=float) for th in thetas])
             hess_a = np.array([sym(np.asarray(fam.hess_a(th), dtype=float)) for th in thetas])
             rows.append(grad_a.reshape(lead + (self.d,)) - ts)
-            rows.append(hess_a.reshape(lead + (self.d, self.d)))
+            rows.append(float(idx.shape[0]) * hess_a.reshape(lead[1:] + (self.d, self.d)))
         return tuple(rows)
 
 
@@ -515,9 +549,9 @@ def bernoulli_scalar_family():
     return ScalarFamily(
         t=lambda y: np.asarray(y, dtype=float),
         a=lambda eta: np.logaddexp(0.0, eta),
-        a_prime=expit,
-        a_double_prime=lambda eta: expit(eta) * (1.0 - expit(eta)),
-        sample=lambda rng, eta, size: (rng.random(size) < expit(eta)).astype(float),
+        a_prime=_logistic,
+        a_double_prime=_bernoulli_variance,
+        sample=lambda rng, eta, size: (rng.random(size) < _logistic(eta)).astype(float),
         name="bernoulli",
     )
 
@@ -546,8 +580,9 @@ class GlmObjective(SubsampledObjective):
     """Canonical GLM negative log-likelihood with eta_j = theta.x_j.
 
     log g_j(theta) = A(eta_j) - eta_j T(y_j) up to the carrier term;
-    gradient x_j (A'(eta_j) - T(y_j)); Hessian (x_j x_j^T) A''(eta_j).
-    The identity-link Gaussian case coincides with least squares.
+    gradient x_j (A'(eta_j) - T(y_j)); Hessian (x_j x_j^T) A''(eta_j),
+    so a batch Hessian is X_b^T diag(A''(eta)) X_b. The identity-link
+    Gaussian case coincides with least squares.
     """
 
     def __init__(self, data):
@@ -566,8 +601,7 @@ class GlmObjective(SubsampledObjective):
             return (value,)
         mean = np.asarray(fam.a_prime(eta), dtype=float)
         var = np.asarray(fam.a_double_prime(eta), dtype=float)
-        outers = xs[..., :, None] * xs[..., None, :]
-        return value, xs * (mean - t_ys)[..., None], outers * var[..., None, None]
+        return value, xs * (mean - t_ys)[..., None], _gram(xs, var)
 
 
 # ---------------------------------------------------------------------------

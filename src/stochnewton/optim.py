@@ -111,10 +111,13 @@ class StackedTrace:
     step; ``directions``, ``newton_directions`` (T, S, d) and
     ``step_lengths`` (T, S) are as in StepRecord. ``armijo_satisfied``
     (T, S) is False where the line search ran out of halvings and took
-    its last step length anyway. ``rho`` and ``fallback`` (T, S) hold
-    rho_m and fallback_fired, and ``sigma_lam_max`` (T, S) the largest
-    eigenvalue of the prior covariance Sigma_{t-1} that rho_m is taken
-    from; they are nan and False except at filter updates.
+    its last step length anyway. ``ridge_eps`` (T, S) is the eps of the
+    eps*I that the ridge added to the step's batch Hessian, 0 where it
+    added none (see ``BatchObservation``). ``rho`` and ``fallback``
+    (T, S) hold rho_m and fallback_fired, and ``sigma_lam_max`` (T, S)
+    the largest eigenvalue of the prior covariance Sigma_{t-1} that
+    rho_m is taken from; they are nan and False except at filter
+    updates.
     ``failed_step`` (T,) is the step at which a run failed, 0 for a run
     that completed, and ``errors`` maps the position of a failed run to
     the exception that stopped it; a failed run's arrays are meaningful
@@ -126,6 +129,7 @@ class StackedTrace:
     newton_directions: np.ndarray
     step_lengths: np.ndarray
     armijo_satisfied: np.ndarray
+    ridge_eps: np.ndarray
     rho: np.ndarray
     fallback: np.ndarray
     sigma_lam_max: np.ndarray
@@ -159,6 +163,7 @@ class _Steps(NamedTuple):
     newton_direction: np.ndarray
     step_length: np.ndarray
     armijo_satisfied: np.ndarray
+    ridge_eps: np.ndarray
     rho: Optional[np.ndarray] = None
     fallback: Optional[np.ndarray] = None
     sigma_lam_max: Optional[np.ndarray] = None
@@ -167,8 +172,8 @@ class _Steps(NamedTuple):
     def of_run(cls, trace, i):
         """Every step of run ``i`` of a StackedTrace, with the step as the leading axis."""
         return cls(trace.thetas[i, 1:], trace.directions[i], trace.newton_directions[i],
-                   trace.step_lengths[i], trace.armijo_satisfied[i], trace.rho[i],
-                   trace.fallback[i], trace.sigma_lam_max[i])
+                   trace.step_lengths[i], trace.armijo_satisfied[i], trace.ridge_eps[i],
+                   trace.rho[i], trace.fallback[i], trace.sigma_lam_max[i])
 
     def record(self, i, t, theta_before, batch):
         return StepRecord(
@@ -217,7 +222,7 @@ def _stacked_step(obj, theta, idx, belief, cfg, filtered, t):
     for i, err in search.items():
         failures.setdefault(i, err)
     steps = _Steps(theta + lams[:, None] * direction, direction, newton, lams, satisfied,
-                   rho, fallback, lam_max)
+                   obs.ridge_eps, rho, fallback, lam_max)
     return steps, belief, failures
 
 
@@ -288,6 +293,7 @@ def run_trials(obj, theta0, batches, cfg):
         newton_directions=np.full((count, steps, obj.d), np.nan),
         step_lengths=np.full((count, steps), np.nan),
         armijo_satisfied=np.zeros((count, steps), dtype=bool),
+        ridge_eps=np.zeros((count, steps)),
         rho=np.full((count, steps), np.nan),
         fallback=np.zeros((count, steps), dtype=bool),
         sigma_lam_max=np.full((count, steps), np.nan),
@@ -307,6 +313,7 @@ def run_trials(obj, theta0, batches, cfg):
             trace.newton_directions[live, t - 1] = step.newton_direction
             trace.step_lengths[live, t - 1] = step.step_length
             trace.armijo_satisfied[live, t - 1] = step.armijo_satisfied
+            trace.ridge_eps[live, t - 1] = step.ridge_eps
             if step.rho is not None:
                 trace.rho[live, t - 1] = step.rho
                 trace.fallback[live, t - 1] = step.fallback

@@ -326,21 +326,25 @@ def test_csv_rho_columns_empty_for_unfiltered(tmp_path):
 
 
 def test_csv_does_not_depend_on_the_recorded_decisions(tmp_path, monkeypatch):
-    # sigma_lam_max and armijo_satisfied are diagnostics: emptying them
-    # leaves the CSVs byte for byte as they were.
-    cfg = small_config(trials=20, steps=5)
+    # sigma_lam_max, armijo_satisfied and ridge_eps are diagnostics:
+    # emptying them leaves the CSVs byte for byte as they were. At batch
+    # size 2 the ridge fires on some steps.
+    cfg = small_config(trials=20, steps=5, batch_size=2, n=20)
     result = run_paired_trials(cfg)
+    assert (result.unfiltered.ridge_eps > 0).any()
     emit_csv(result.stats, result.curves, tmp_path / "with")
     engine = experiment.run_trials
 
     def run_trials(obj, theta0, batches, ocfg):
         trace = engine(obj, theta0, batches, ocfg)
         return dataclasses.replace(trace, armijo_satisfied=~trace.armijo_satisfied,
-                                   sigma_lam_max=np.full_like(trace.sigma_lam_max, np.nan))
+                                   sigma_lam_max=np.full_like(trace.sigma_lam_max, np.nan),
+                                   ridge_eps=np.full_like(trace.ridge_eps, np.nan))
 
     monkeypatch.setattr(experiment, "run_trials", run_trials)
     result = run_paired_trials(cfg)
     assert np.isnan(result.filtered.sigma_lam_max).all()
+    assert np.isnan(result.filtered.ridge_eps).all()
     emit_csv(result.stats, result.curves, tmp_path / "without")
     for suffix in ("table1", "curves"):
         assert ((tmp_path / f"with.{suffix}.csv").read_bytes()

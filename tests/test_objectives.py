@@ -133,6 +133,8 @@ def make_expfam_objectives(rng, n=40):
 
 
 def test_evaluate_batch_equals_ascending_per_sample_mean_exactly():
+    # Values and gradients are the sequential per-sample sums bit for bit;
+    # the Hessian is one Gram product, equal to the sum to rounding.
     rng = np.random.default_rng(5)
     objs = [make_ls_objective(rng), make_glm_objective(rng), *make_expfam_objectives(rng)]
     for obj in objs:
@@ -148,8 +150,10 @@ def test_evaluate_batch_equals_ascending_per_sample_mean_exactly():
             f += g
             q += h
         assert np.array_equal(obs.f, f / obj.n)
-        assert np.array_equal(obs.q, sym(q / obj.n))
         assert obs.value == value / obj.n
+        want = sym(q / obj.n)
+        assert np.max(np.abs(obs.q - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(obs.q, obs.q.T)
 
 
 def test_stacked_thetas_equal_single_theta_evaluations_exactly():
@@ -167,6 +171,38 @@ def test_stacked_thetas_equal_single_theta_evaluations_exactly():
             assert values.shape == (4,)
             for k, theta in enumerate(thetas):
                 assert values[k] == evaluate_batch(obj, theta, idx).value
+
+
+@pytest.mark.parametrize("d, size, count", [(2, 5, 1000), (20, 100, 100), (5, 20, 1)])
+def test_stacked_hessian_sums_equal_one_trial_sums_bitwise(d, size, count):
+    rng = np.random.default_rng(d)
+    xs = rng.standard_normal((300, d))
+    objs = [
+        LeastSquaresObjective(LeastSquaresData(xs=xs, ys=xs @ np.ones(d))),
+        GlmObjective(GlmData(xs=xs, ys=(rng.random(300) < 0.5).astype(float),
+                             family=bernoulli_scalar_family())),
+        ExpFamilyObjective(gaussian_family(d), rng.standard_normal((300, d))),
+    ]
+    thetas = rng.uniform(-1.0, 1.0, size=(count, d))
+    idx = np.sort(rng.integers(0, 300, size=(count, size)), axis=-1)
+    for obj in objs:
+        stacked = obj.batch_sums(thetas, idx)[2]
+        for k in range(count):
+            assert np.array_equal(obj.batch_sums(thetas[k:k + 1], idx[k:k + 1])[2][0], stacked[k])
+            assert np.array_equal(obj.batch_sums(thetas[k], idx[k])[2], stacked[k])
+
+
+def test_bernoulli_mean_is_the_logistic_function():
+    from scipy.special import expit
+
+    mean = bernoulli_scalar_family().a_prime
+    x = np.linspace(-700.0, 700.0, 28001)
+    assert_allclose(mean(x), expit(x), rtol=1e-12, atol=0.0)
+    wide = np.linspace(-1e3, 1e3, 20001)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for fn in (mean, bernoulli_scalar_family().a_double_prime):
+            assert np.isfinite(fn(wide)).all()
+    assert mean(np.array(0.0)) == 0.5
 
 
 def test_evaluate_batch_bit_identical_across_calls():

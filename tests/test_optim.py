@@ -15,7 +15,7 @@ from stochnewton.objectives import (
     evaluate_batch,
     sample_batch,
 )
-from stochnewton.linalg import solve_spd
+from stochnewton.linalg import cholesky_factors, solve_spd, sym
 from stochnewton.optim import (
     OptimizerConfig,
     StepError,
@@ -34,9 +34,11 @@ class ScalarQuadratic(SubsampledObjective):
         self.n = n
         self.d = 1
 
-    def value_grad_hess(self, theta, j):
-        th = float(theta[0])
-        return 0.5 * th * th, np.array([th]), np.array([[1.0]])
+    def row_terms(self, theta, idx, derivatives=True):
+        th = theta[..., 0]
+        if not derivatives:
+            return (0.5 * th * th,)
+        return 0.5 * th * th, theta, np.full(th.shape[1:] + (1, 1), float(idx.shape[0]))
 
 
 class FailsAfter(SubsampledObjective):
@@ -51,10 +53,12 @@ class FailsAfter(SubsampledObjective):
         self.d = 1
         self.trigger = trigger
 
-    def value_grad_hess(self, theta, j):
-        th = float(theta[0])
-        grad = np.nan if th < self.trigger else th
-        return 0.5 * th * th, np.array([grad]), np.array([[1.0]])
+    def row_terms(self, theta, idx, derivatives=True):
+        th = theta[..., 0]
+        if not derivatives:
+            return (0.5 * th * th,)
+        grad = np.where(theta < self.trigger, np.nan, theta)
+        return 0.5 * th * th, grad, np.full(th.shape[1:] + (1, 1), float(idx.shape[0]))
 
 
 def make_ls(rng, n=30, d=2):
@@ -142,8 +146,11 @@ def test_filtered_step_stationary_isotropic_direction():
         n = 3
         d = 1
 
-        def value_grad_hess(self, theta, j):
-            return 0.0, np.array([0.3]), np.array([[q]])
+        def row_terms(self, theta, idx, derivatives=True):
+            zeros = np.zeros(idx.shape)
+            if not derivatives:
+                return (zeros,)
+            return zeros, np.full(idx.shape + (1,), 0.3), np.full((1, 1), idx.shape[0] * q)
 
     obj = IsotropicObjective()
     belief_prev = GaussianBelief(mu=np.array([0.7]), sigma=np.array([[s]]))
@@ -280,8 +287,8 @@ def _engine_cases():
     logistic = rng.standard_normal((200, 5))
     return [
         (make_ls(rng), 5),
-        # 100 rows of 20x20 Hessians: a stack of 6 is summed in chunks of
-        # rows, a single trial in one.
+        # A 100x20 Gram product per trial: one BLAS call per member of a
+        # stack, as for a trial alone.
         (LeastSquaresObjective(LeastSquaresData(xs=wide, ys=wide @ np.ones(20))), 100),
         (GlmObjective(GlmData(xs=logistic, ys=(rng.random(200) < 0.5).astype(float),
                               family=bernoulli_scalar_family())), 20),
@@ -307,8 +314,8 @@ def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
         assert alone.failed_step[0] == stacked.failed_step[i]
         done = stacked.failed_step[i] - 1 if stacked.failed_step[i] else steps
         assert np.array_equal(alone.thetas[0, :done + 1], stacked.thetas[i, :done + 1])
-        for name in ("directions", "newton_directions", "step_lengths", "armijo_satisfied", "rho",
-                     "fallback", "sigma_lam_max"):
+        for name in ("directions", "newton_directions", "step_lengths", "armijo_satisfied",
+                     "ridge_eps", "rho", "fallback", "sigma_lam_max"):
             assert np.array_equal(getattr(alone, name)[0, :done], getattr(stacked, name)[i, :done],
                                   equal_nan=True)
     # The one-trial entry point is the same engine.
@@ -352,3 +359,23 @@ def test_trace_records_rho_source_and_armijo_outcome(case):
         satisfied.append(trace.armijo_satisfied)
     satisfied = np.concatenate(satisfied)
     assert satisfied.any() and not satisfied.all()
+
+
+def test_ridge_eps_marks_exactly_the_batch_hessians_that_are_not_pd():
+    # At batch size 2 and d = 2 a batch that draws one sample twice has a
+    # rank-one Hessian, which only the ridge makes PD. A least-squares
+    # Hessian does not depend on theta, so it is recomputed at 0.
+    rng = np.random.default_rng(30)
+    obj = make_ls(rng, n=20, d=2)
+    count, steps, size = 200, 10, 2
+    batches = rng.integers(0, obj.n, size=(count, steps, size))
+    hess = obj.batch_sums(np.zeros(obj.d), np.sort(batches, axis=-1))[2]
+    with np.errstate(invalid="ignore"):
+        _, pd = cholesky_factors(sym(hess / size))
+    assert 0 < (~pd).sum() < pd.size
+    for filt in (None, FilterConfig(alpha=0.9, beta=0.2, dim=obj.d)):
+        cfg = OptimizerConfig(batch_size=size, max_steps=steps, filter=filt)
+        trace = run_trials(obj, np.array([2.0, -1.0]), batches, cfg)
+        assert not trace.failed_step.any()
+        assert np.array_equal(trace.ridge_eps > 0, ~pd)
+        assert (trace.ridge_eps >= 0).all()
