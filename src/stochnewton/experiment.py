@@ -25,7 +25,7 @@ are formed from those arrays in trial order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -367,8 +367,6 @@ def run_paired_trials(cfg, workers=1):
     keep = ~failed
     unfiltered, filtered = unfiltered.select(keep), filtered.select(keep)
     stats = AngularErrorStats.from_errors(ang_u[keep], ang_f[keep])
-    curves_u = _trajectory_curves(unfiltered, theta_star, obj)
-    curves_f = _trajectory_curves(filtered, theta_star, obj)
     rho = filtered.rho
 
     mean_rho = np.full(cfg.steps, np.nan)
@@ -378,8 +376,8 @@ def run_paired_trials(cfg, workers=1):
         mean_rho[defined] = rho[:, defined].mean(axis=0)
         max_rho[defined] = rho[:, defined].max(axis=0)
 
-    def method_curves(trajectory, with_rho):
-        dist, objv, disp = trajectory
+    def method_curves(trace, with_rho):
+        dist, objv, disp = _trajectory_curves(trace, theta_star, obj)
         mean_dist, sd_dist = _mean_sd(dist)
         mean_obj, sd_obj = _mean_sd(objv)
         mean_disp, sd_disp = _mean_sd(disp)
@@ -395,8 +393,8 @@ def run_paired_trials(cfg, workers=1):
         )
 
     curves = AggregateCurves(
-        unfiltered=method_curves(curves_u, with_rho=False),
-        filtered=method_curves(curves_f, with_rho=True),
+        unfiltered=method_curves(unfiltered, with_rho=False),
+        filtered=method_curves(filtered, with_rho=True),
     )
     return ExperimentResult(
         config=cfg,
@@ -454,43 +452,26 @@ def _fmt(x):
 def emit_csv(stats, curves, path):
     """Write ``<path>.table1.csv`` and ``<path>.curves.csv``.
 
-    Floats are written as their shortest round-trip decimal; lines end
-    with LF. Rho columns are empty for the unfiltered method and for
-    steps where no momentum matrix exists.
+    After ``step`` (and ``method``) the columns are the fields of
+    AngularErrorStats and MethodCurves, in order. Floats are written as
+    their shortest round-trip decimal; lines end with LF. Rho columns
+    are empty for the unfiltered method and for steps where no momentum
+    matrix exists.
     """
-    table_lines = [
-        "step,mse_unfiltered,mse_filtered,bias2_unfiltered,bias2_filtered,"
-        "var_unfiltered,var_filtered"
-    ]
+    table = [f.name for f in fields(AngularErrorStats)]
+    table_lines = [",".join(["step"] + table)]
+    values = [getattr(stats, name) for name in table]
     for i in range(stats.steps):
-        table_lines.append(",".join([
-            str(i + 1),
-            _fmt(stats.mse_unfiltered[i]),
-            _fmt(stats.mse_filtered[i]),
-            _fmt(stats.bias2_unfiltered[i]),
-            _fmt(stats.bias2_filtered[i]),
-            _fmt(stats.var_unfiltered[i]),
-            _fmt(stats.var_filtered[i]),
-        ]))
+        table_lines.append(",".join([str(i + 1)] + [_fmt(value[i]) for value in values]))
 
-    curve_lines = [
-        "step,method,mean_dist,sd_dist,mean_obj,sd_obj,mean_displacement,"
-        "sd_displacement,mean_rho,max_rho"
-    ]
-    for method, mc in (("unfiltered", curves.unfiltered), ("filtered", curves.filtered)):
+    columns = [f.name for f in fields(MethodCurves)]
+    curve_lines = [",".join(["step", "method"] + columns)]
+    for method in ("unfiltered", "filtered"):
+        mc = getattr(curves, method)
+        values = [getattr(mc, name) for name in columns]
         for i in range(curves.steps):
-            curve_lines.append(",".join([
-                str(i + 1),
-                method,
-                _fmt(mc.mean_dist[i]),
-                _fmt(mc.sd_dist[i]),
-                _fmt(mc.mean_obj[i]),
-                _fmt(mc.sd_obj[i]),
-                _fmt(mc.mean_displacement[i]),
-                _fmt(mc.sd_displacement[i]),
-                _fmt(None if mc.mean_rho is None else mc.mean_rho[i]),
-                _fmt(None if mc.max_rho is None else mc.max_rho[i]),
-            ]))
+            curve_lines.append(",".join([str(i + 1), method] + [
+                _fmt(None if value is None else value[i]) for value in values]))
 
     with open(f"{path}.table1.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(table_lines) + "\n")

@@ -33,7 +33,9 @@ spectral norm is exact from the largest eigenvalue alone:
 
     rho_t = alpha lam_max / (alpha^2 lam_max + beta).
 
-The filter takes rho_t that way and never forms M_t. Read backwards,
+The filter takes rho_t that way and never forms M_t; only
+``momentum_matrix`` forms it, for the one-trial ``dkf_update_info``,
+and takes its norm the same way. Read backwards,
 rho_t < r exactly when lam_max(Sigma_{t-1}) < r beta / (alpha (1 - r alpha)):
 at alpha = 0.9 and beta = 0.2 the monitor's rho_t < 0.8 is the
 statement lam_max(Sigma_{t-1}) < 0.635.
@@ -44,7 +46,8 @@ reports the members whose posterior stopped being PD instead of
 raising; ``dkf_update_info`` is its one-trial case, so a trial gets the
 same bits whether it is filtered alone or in a stack. Only the
 one-trial case also returns M_t and the effective Q_t^-1, which the
-oracle ``unrolled_direction`` reads.
+oracle ``unrolled_direction`` reads; its rho equals the stacked rho bit
+for bit.
 """
 
 from dataclasses import dataclass, field
@@ -59,10 +62,9 @@ from .linalg import (
     cholesky_solve,
     largest_eigenvalues,
     solve_spd,
-    spectral_norm,
     sym,
 )
-from .objectives import BatchObservation
+from .objectives import _members
 
 __all__ = [
     "FilterConfig",
@@ -183,12 +185,21 @@ def init_belief(obs):
                           sigma_factor=obs.q_factor)
 
 
+def _momentum_norm(cfg, lam_max):
+    """rho_t = alpha lam_max / (alpha^2 lam_max + beta), the spectral norm of M_t."""
+    return cfg.alpha * lam_max / (cfg.alpha ** 2 * lam_max + cfg.beta)
+
+
 def momentum_matrix(cfg, sigma_prev):
-    """M = alpha (alpha^2 sigma_prev + beta I)^-1 sigma_prev, with cached norm."""
+    """M = alpha (alpha^2 sigma_prev + beta I)^-1 sigma_prev, with its spectral norm.
+
+    The norm is taken from lam_max(sigma_prev) exactly as ``dkf_updates``
+    takes it, so the two agree bit for bit.
+    """
     sigma_prev = np.asarray(sigma_prev, dtype=float)
     r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * np.eye(sigma_prev.shape[0]))
     m = cfg.alpha * cholesky_solve(cholesky(r), sigma_prev)
-    return MomentumMatrix(m=m, rho=spectral_norm(m))
+    return MomentumMatrix(m=m, rho=float(_momentum_norm(cfg, largest_eigenvalues(sigma_prev))))
 
 
 def dkf_updates(cfg, prev, obs):
@@ -207,12 +218,12 @@ def dkf_updates(cfg, prev, obs):
     ``np.errstate(invalid="ignore")``, as ``dkf_update_info`` and
     ``optim.run_trials`` do.
     """
-    update, failures, _, _ = _updates(cfg, prev, obs)
+    update, failures, _ = _updates(cfg, prev, obs)
     return update, failures
 
 
 def _updates(cfg, prev, obs):
-    """``dkf_updates``, plus the effective Q^-1 and R^-1 of every member."""
+    """``dkf_updates``, plus the effective Q^-1 of every member."""
     eye = np.eye(cfg.dim)
     s_inv = (1.0 / cfg.s_scalar) * eye
     sigma_prev = prev.sigma
@@ -244,9 +255,9 @@ def _updates(cfg, prev, obs):
         belief=GaussianBelief(mu=mu, sigma=sigma, sigma_factor=sigma_factor),
         fallback_fired=fallback,
         sigma_lam_max=lam_max,
-        rho=cfg.alpha * lam_max / (cfg.alpha ** 2 * lam_max + cfg.beta),
+        rho=_momentum_norm(cfg, lam_max),
     )
-    return update, failures, q_inv_eff, r_inv
+    return update, failures, q_inv_eff
 
 
 def dkf_update_info(cfg, prev, obs):
@@ -255,35 +266,25 @@ def dkf_update_info(cfg, prev, obs):
     Follows the update literally: when Q^-1 - S^-1 is not PD, Q is
     replaced by (Q^-1 + S^-1)^-1 before both the covariance and mean
     formulas are applied. This is the one-trial case of ``dkf_updates``,
-    with the same rho bit for bit; it also forms the momentum matrix
-    M_t = alpha R^-1 Sigma_{t-1} and returns the effective Q^-1. A
-    posterior that is not PD raises FilterDivergenceError.
+    with the same rho bit for bit; it also returns the momentum matrix
+    M_t of ``momentum_matrix`` and the effective Q^-1. A posterior that
+    is not PD raises FilterDivergenceError.
     """
     d = cfg.dim
-    mu_prev = np.asarray(prev.mu, dtype=float)
-    sigma_prev = np.asarray(prev.sigma, dtype=float)
-    if sigma_prev.shape != (d, d) or mu_prev.shape != (d,):
+    if np.shape(prev.sigma) != (d, d) or np.shape(prev.mu) != (d,):
         raise ValueError(f"belief dimensions do not match dim={d}")
     if obs.q.shape != (d, d) or obs.f.shape != (d,):
         raise ValueError(f"observation dimensions do not match dim={d}")
 
     with np.errstate(invalid="ignore"):
-        upd, failures, q_inv_eff, r_inv = _updates(
-            cfg,
-            GaussianBelief(mu=mu_prev[None], sigma=sigma_prev[None],
-                           sigma_factor=prev.sigma_factor[None]),
-            BatchObservation(f=obs.f[None], q=obs.q[None], value=obs.value,
-                             q_factor=obs.q_factor[None]),
-        )
+        upd, failures, q_inv_eff = _updates(cfg, _members(prev, None), _members(obs, None))
     if failures:
         raise failures[0]
-    belief = upd.belief
     return DkfUpdate(
-        belief=GaussianBelief(mu=belief.mu[0], sigma=belief.sigma[0],
-                              sigma_factor=belief.sigma_factor[0]),
+        belief=_members(upd.belief, 0),
         fallback_fired=bool(upd.fallback_fired[0]),
         q_inv_effective=q_inv_eff[0],
-        momentum=MomentumMatrix(m=cfg.alpha * (r_inv[0] @ sigma_prev), rho=float(upd.rho[0])),
+        momentum=momentum_matrix(cfg, prev.sigma),
     )
 
 

@@ -35,7 +35,7 @@ regularized batch observation of a whole stack of trials at once;
 ``value_grad_hess`` the one-index case of ``batch_sums``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -261,13 +261,31 @@ def _regularize_hessians(q):
 
 
 def sorted_batch(obj, batch):
-    """``batch`` as an ascending index array, checked against ``obj.n``."""
-    idx = np.sort(np.asarray(batch, dtype=np.intp).ravel())
+    """A batch (b,) or stack of batches (..., b) sorted along its last axis,
+    as indices checked against ``obj.n``."""
+    idx = np.sort(np.asarray(batch, dtype=np.intp), axis=-1)
     if idx.size == 0:
         raise ValueError("batch is empty")
-    if idx[0] < 0 or idx[-1] >= obj.n:
+    if idx[..., 0].min() < 0 or idx[..., -1].max() >= obj.n:
         raise ValueError(f"batch index out of range for n={obj.n}")
     return idx
+
+
+def _one_trial(obj, theta, batch):
+    """One trial's ``theta`` (d,) and ``batch``, checked, as stacks of one."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (obj.d,):
+        raise ValueError(f"theta must be a length-{obj.d} vector")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta contains non-finite entries")
+    return theta[None], sorted_batch(obj, np.ravel(batch))[None]
+
+
+def _members(x, index):
+    """The belief or observation ``x`` with ``[index]`` applied to every field:
+    one member or a sub-stack of a stack, or with None a stack of one."""
+    return replace(x, **{f.name: np.asarray(getattr(x, f.name), dtype=float)[index]
+                         for f in fields(x)})
 
 
 def evaluate_batches(obj, theta, idx):
@@ -310,18 +328,12 @@ def evaluate_batch(obj, theta, batch):
     multiset). The mean Hessian is ridge-regularized to PD if needed.
     This is the one-trial case of ``evaluate_batches``.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.shape[0] != obj.d:
-        raise ValueError(f"theta must be a length-{obj.d} vector")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta contains non-finite entries")
-    idx = sorted_batch(obj, batch)
+    theta, idx = _one_trial(obj, theta, batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        obs, failures = evaluate_batches(obj, theta[None], idx[None])
+        obs, failures = evaluate_batches(obj, theta, idx)
     if failures:
         raise failures[0]
-    return BatchObservation(f=obs.f[0], q=obs.q[0], value=float(obs.value[0]),
-                            q_factor=obs.q_factor[0], ridge_eps=float(obs.ridge_eps[0]))
+    return _members(obs, 0)
 
 
 def batch_mean_values(obj, thetas, idx):
@@ -557,23 +569,11 @@ def bernoulli_scalar_family():
 
 
 @dataclass(frozen=True)
-class GlmData:
+class GlmData(LeastSquaresData):
     """Covariate rows ``xs`` (n, d), scalar responses ``ys`` (n,), and the
-    scalar family tying them together."""
+    scalar family tying them together; validated as LeastSquaresData."""
 
-    xs: np.ndarray
-    ys: np.ndarray
     family: ScalarFamily
-
-    def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
-        ys = np.asarray(self.ys, dtype=float).ravel()
-        if xs.shape[0] != ys.shape[0]:
-            raise ValueError("xs and ys disagree on the sample count")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("data contains non-finite entries")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
 
 
 class GlmObjective(SubsampledObjective):
@@ -587,8 +587,8 @@ class GlmObjective(SubsampledObjective):
 
     def __init__(self, data):
         self.data = data
-        self.n = data.xs.shape[0]
-        self.d = data.xs.shape[1]
+        self.n = data.n
+        self.d = data.d
         self._t_ys = np.asarray(data.family.t(data.ys), dtype=float).ravel()
 
     def row_terms(self, theta, idx, derivatives=True):

@@ -12,21 +12,23 @@ in lockstep, each on its own batches drawn up front: every step
 evaluates all batches, checks and ridges the Hessians, updates the
 filters and line-searches with one numpy call per layer on the whole
 stack (``evaluate_batches``, ``dkf_updates``, ``armijo_search``), and
-the steps come back as arrays (``StackedTrace``). A trial that fails
-leaves the stack at that step and the others carry on; no trial's
-numbers depend on which others share its stack. ``run`` is the
+writes the step straight into the arrays of a ``StackedTrace``. A trial
+that fails leaves the stack at that step and the others carry on; no
+trial's numbers depend on which others share its stack. ``run`` is the
 one-trial case, and ``unfiltered_step``/``filtered_step`` are one step
-of it.
+of it on a one-step trace; all three read their StepRecords from one
+run of the trace, which is the only place records are formed.
 """
 
 from dataclasses import dataclass, field, fields
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from . import line_search
-from .filtering import FilterConfig, FilterDivergenceError, GaussianBelief, dkf_updates, init_belief
-from .objectives import batch_mean_values, evaluate_batches, sample_batch, sorted_batch
+from .filtering import FilterConfig, FilterDivergenceError, dkf_updates, init_belief
+from .objectives import (_members, _one_trial, batch_mean_values, evaluate_batches, sample_batch,
+                         sorted_batch)
 
 __all__ = [
     "OptimizerConfig",
@@ -151,57 +153,40 @@ class StackedTrace:
         return cls(errors=errors, **arrays)
 
     def select(self, keep):
-        """The completed runs at the positions in ``keep``."""
+        """The runs at the positions in ``keep``; an integer gives one run without the run axis."""
         return StackedTrace(**{name: array[keep] for name, array in self._arrays().items()})
 
 
-class _Steps(NamedTuple):
-    """One step of a stack; the last three only for filter updates."""
-
-    theta_after: np.ndarray
-    direction: np.ndarray
-    newton_direction: np.ndarray
-    step_length: np.ndarray
-    armijo_satisfied: np.ndarray
-    ridge_eps: np.ndarray
-    rho: Optional[np.ndarray] = None
-    fallback: Optional[np.ndarray] = None
-    sigma_lam_max: Optional[np.ndarray] = None
-
-    @classmethod
-    def of_run(cls, trace, i):
-        """Every step of run ``i`` of a StackedTrace, with the step as the leading axis."""
-        return cls(trace.thetas[i, 1:], trace.directions[i], trace.newton_directions[i],
-                   trace.step_lengths[i], trace.armijo_satisfied[i], trace.ridge_eps[i],
-                   trace.rho[i], trace.fallback[i], trace.sigma_lam_max[i])
-
-    def record(self, i, t, theta_before, batch):
-        return StepRecord(
-            t=t,
-            theta_before=theta_before,
-            theta_after=self.theta_after[i],
-            direction=self.direction[i],
-            step_length=float(self.step_length[i]),
-            batch=batch,
-            newton_direction=self.newton_direction[i],
-            rho_m=None if self.rho is None else float(self.rho[i]),
-            fallback_fired=None if self.fallback is None else bool(self.fallback[i]),
-        )
+def _empty_trace(count, steps, d):
+    """A StackedTrace of ``count`` runs of ``steps`` steps with nothing written yet."""
+    return StackedTrace(
+        thetas=np.full((count, steps + 1, d), np.nan),
+        directions=np.full((count, steps, d), np.nan),
+        newton_directions=np.full((count, steps, d), np.nan),
+        step_lengths=np.full((count, steps), np.nan),
+        armijo_satisfied=np.zeros((count, steps), dtype=bool),
+        ridge_eps=np.zeros((count, steps)),
+        rho=np.full((count, steps), np.nan),
+        fallback=np.zeros((count, steps), dtype=bool),
+        sigma_lam_max=np.full((count, steps), np.nan),
+        failed_step=np.zeros(count, dtype=int),
+    )
 
 
-def _stacked_step(obj, theta, idx, belief, cfg, filtered, t):
-    """One step for a stack: theta (T, d), ascending batches idx (T, b).
+def _stacked_step(obj, cfg, filtered, t, theta, idx, belief, trace, rows, s):
+    """Step t of a stack, written into column ``s`` of the runs ``rows`` of ``trace``.
 
+    ``theta`` (T, d) holds the iterates and ``idx`` (T, b) the ascending
+    batches; the new iterates go to ``trace.thetas[rows, s + 1]``.
     ``belief`` is the filter's stacked belief, None before the first
-    filtered step. Returns (steps, belief, failures), where ``failures``
-    maps the position of each member that failed to the first error it
-    met. The line search uses the batch gradient f_t as its gradient
-    argument in both variants, since the searched function is the batch
-    objective.
+    filtered step. Returns (theta, belief, failures): the new iterates,
+    the new belief, and a map from the position of each member that
+    failed to the first error it met. The line search uses the batch
+    gradient f_t as its gradient argument in both variants, since the
+    searched function is the batch objective.
     """
     obs, failures = evaluate_batches(obj, theta, idx)
     newton = obs.newton_direction()
-    rho = fallback = lam_max = None
     if not filtered:
         direction = newton
     elif belief is None:
@@ -214,35 +199,63 @@ def _stacked_step(obj, theta, idx, belief, cfg, filtered, t):
             failures.setdefault(i, FilterDivergenceError(str(err), step=t))
         belief = upd.belief
         direction = belief.direction()
-        rho, fallback, lam_max = upd.rho, upd.fallback_fired, upd.sigma_lam_max
+        trace.rho[rows, s] = upd.rho
+        trace.fallback[rows, s] = upd.fallback_fired
+        trace.sigma_lam_max[rows, s] = upd.sigma_lam_max
     lams, satisfied, search = line_search.armijo_search(
         lambda points: batch_mean_values(obj, points, idx[:, None, :]), theta, direction, obs.f,
         c=cfg.armijo_c, max_halvings=cfg.armijo_max_halvings,
     )
     for i, err in search.items():
         failures.setdefault(i, err)
-    steps = _Steps(theta + lams[:, None] * direction, direction, newton, lams, satisfied,
-                   obs.ridge_eps, rho, fallback, lam_max)
-    return steps, belief, failures
+    theta = theta + lams[:, None] * direction
+    trace.thetas[rows, s + 1] = theta
+    trace.directions[rows, s] = direction
+    trace.newton_directions[rows, s] = newton
+    trace.step_lengths[rows, s] = lams
+    trace.armijo_satisfied[rows, s] = satisfied
+    trace.ridge_eps[rows, s] = obs.ridge_eps
+    return theta, belief, failures
 
 
-def _one_trial(obj, theta_prev, batch):
-    theta_prev = np.asarray(theta_prev, dtype=float)
-    if theta_prev.shape != (obj.d,):
-        raise ValueError(f"theta must be a length-{obj.d} vector")
-    if not np.isfinite(theta_prev).all():
-        raise ValueError("theta contains non-finite entries")
-    return theta_prev[None], sorted_batch(obj, batch)[None]
+def _record(view, s, t, batch, update):
+    """StepRecord of step t from column ``s`` of a one-run view (``trace.select(0)``).
+
+    ``update`` says whether the step was a filter update, the only steps
+    that record rho_m and fallback_fired.
+    """
+    return StepRecord(
+        t=t,
+        theta_before=view.thetas[s],
+        theta_after=view.thetas[s + 1],
+        direction=view.directions[s],
+        step_length=float(view.step_lengths[s]),
+        batch=batch,
+        newton_direction=view.newton_directions[s],
+        rho_m=float(view.rho[s]) if update else None,
+        fallback_fired=bool(view.fallback[s]) if update else None,
+    )
+
+
+def _one_step(obj, theta_prev, batch, belief_prev, cfg, filtered, t):
+    """Step t of one trial, on a one-step trace; returns (record, belief)."""
+    theta, idx = _one_trial(obj, theta_prev, batch)
+    trace = _empty_trace(1, 1, obj.d)
+    trace.thetas[:, 0] = theta
+    if belief_prev is not None:
+        belief_prev = _members(belief_prev, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, belief, failures = _stacked_step(obj, cfg, filtered, t, theta, idx, belief_prev, trace,
+                                            slice(None), 0)
+    if failures:
+        raise failures[0]
+    record = _record(trace.select(0), 0, t, batch, belief_prev is not None)
+    return record, None if belief is None else _members(belief, 0)
 
 
 def unfiltered_step(obj, theta_prev, batch, cfg, t=1):
     """One batch Newton step along -Q_t^-1 f_t."""
-    theta, idx = _one_trial(obj, theta_prev, batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps, _, failures = _stacked_step(obj, theta, idx, None, cfg, False, t)
-    if failures:
-        raise failures[0]
-    return steps.record(0, t, theta_prev, batch)
+    return _one_step(obj, theta_prev, batch, None, cfg, False, t)[0]
 
 
 def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
@@ -252,18 +265,7 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
     initializes the belief from the batch observation and therefore
     takes the unfiltered direction bit for bit.
     """
-    theta, idx = _one_trial(obj, theta_prev, batch)
-    if belief_prev is not None:
-        belief_prev = GaussianBelief(mu=np.asarray(belief_prev.mu, dtype=float)[None],
-                                     sigma=np.asarray(belief_prev.sigma, dtype=float)[None],
-                                     sigma_factor=belief_prev.sigma_factor[None])
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps, belief, failures = _stacked_step(obj, theta, idx, belief_prev, cfg, True, t)
-    if failures:
-        raise failures[0]
-    belief = GaussianBelief(mu=belief.mu[0], sigma=belief.sigma[0],
-                            sigma_factor=belief.sigma_factor[0])
-    return steps.record(0, t, theta_prev, batch), belief
+    return _one_step(obj, theta_prev, batch, belief_prev, cfg, True, t)
 
 
 def run_trials(obj, theta0, batches, cfg):
@@ -275,50 +277,23 @@ def run_trials(obj, theta0, batches, cfg):
     trial that fails numerically is recorded there and leaves the
     stack; bad input raises ValueError.
     """
-    batches = np.asarray(batches, dtype=np.intp)
-    count, steps, _ = batches.shape
+    idx = sorted_batch(obj, batches)
+    count, steps, _ = idx.shape
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (count, obj.d)))
     if not np.isfinite(theta).all():
         raise ValueError("theta0 contains non-finite entries")
-    idx = np.sort(batches, axis=-1)
-    if idx.size == 0:
-        raise ValueError("batch is empty")
-    if idx.min() < 0 or idx.max() >= obj.n:
-        raise ValueError(f"batch index out of range for n={obj.n}")
+    trace = _empty_trace(count, steps, obj.d)
+    trace.thetas[:, 0] = theta
 
     filtered = cfg.filter is not None
-    trace = StackedTrace(
-        thetas=np.full((count, steps + 1, obj.d), np.nan),
-        directions=np.full((count, steps, obj.d), np.nan),
-        newton_directions=np.full((count, steps, obj.d), np.nan),
-        step_lengths=np.full((count, steps), np.nan),
-        armijo_satisfied=np.zeros((count, steps), dtype=bool),
-        ridge_eps=np.zeros((count, steps)),
-        rho=np.full((count, steps), np.nan),
-        fallback=np.zeros((count, steps), dtype=bool),
-        sigma_lam_max=np.full((count, steps), np.nan),
-        failed_step=np.zeros(count, dtype=int),
-    )
-    trace.thetas[:, 0] = theta
     # Positions of the trials still running: all of them, as a slice,
     # until one fails.
     live = slice(None)
     belief = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, steps + 1):
-            step, belief, failures = _stacked_step(obj, theta, idx[live, t - 1], belief, cfg,
-                                                   filtered, t)
-            trace.thetas[live, t] = step.theta_after
-            trace.directions[live, t - 1] = step.direction
-            trace.newton_directions[live, t - 1] = step.newton_direction
-            trace.step_lengths[live, t - 1] = step.step_length
-            trace.armijo_satisfied[live, t - 1] = step.armijo_satisfied
-            trace.ridge_eps[live, t - 1] = step.ridge_eps
-            if step.rho is not None:
-                trace.rho[live, t - 1] = step.rho
-                trace.fallback[live, t - 1] = step.fallback
-                trace.sigma_lam_max[live, t - 1] = step.sigma_lam_max
-            theta = step.theta_after
+            theta, belief, failures = _stacked_step(obj, cfg, filtered, t, theta, idx[live, t - 1],
+                                                    belief, trace, live, t - 1)
             if failures:
                 members = np.arange(count)[live]
                 keep = np.ones(len(members), dtype=bool)
@@ -328,8 +303,7 @@ def run_trials(obj, theta0, batches, cfg):
                     keep[i] = False
                 live, theta = members[keep], theta[keep]
                 if belief is not None:
-                    belief = GaussianBelief(mu=belief.mu[keep], sigma=belief.sigma[keep],
-                                            sigma_factor=belief.sigma_factor[keep])
+                    belief = _members(belief, keep)
                 if not live.size:
                     break
     return trace
@@ -344,20 +318,13 @@ def run(obj, theta0, cfg, rng, seed_info=""):
     carrying the partial trace accumulated so far. This is the one-trial
     case of ``run_trials``.
     """
-    theta = np.array(theta0, dtype=float)
-    if not np.isfinite(theta).all():
-        raise ValueError("theta0 contains non-finite entries")
     batches = sample_batch(rng, obj.n, cfg.max_steps * cfg.batch_size).reshape(
-        1, cfg.max_steps, cfg.batch_size)
-    stacked = run_trials(obj, theta, batches, cfg)
+        cfg.max_steps, cfg.batch_size)
+    stacked = run_trials(obj, theta0, batches[None], cfg)
     failed = int(stacked.failed_step[0])
-    updates = _Steps.of_run(stacked, 0)
-    # Steps that were not filter updates record no rho_m or fallback_fired.
-    plain = updates._replace(rho=None, fallback=None, sigma_lam_max=None)
-    filtered = cfg.filter is not None
+    view = stacked.select(0)
     trace = TrialTrace(seed_info=seed_info, records=[
-        (updates if filtered and t > 1 else plain).record(t - 1, t, stacked.thetas[0, t - 1],
-                                                          batches[0, t - 1])
+        _record(view, t - 1, t, batches[t - 1], cfg.filter is not None and t > 1)
         for t in range(1, failed or cfg.max_steps + 1)
     ])
     if failed:

@@ -433,8 +433,9 @@ def test_stacked_rho_equals_the_norm_of_the_formed_momentum_matrix(d):
                                    q_factor=np.linalg.cholesky(q))
     upd, failures = stacked_update(cfg, prev, observation)
     assert not failures
-    expected = [momentum_matrix(cfg, s).rho for s in sigma]
+    expected = [spectral_norm(momentum_matrix(cfg, s).m) for s in sigma]
     assert_allclose(upd.rho, expected, rtol=1e-12, atol=0)
+    assert np.array_equal(upd.rho, [momentum_matrix(cfg, s).rho for s in sigma])
     lam = upd.sigma_lam_max
     assert np.array_equal(upd.rho, cfg.alpha * lam / (cfg.alpha ** 2 * lam + cfg.beta))
     # The same rho from LAPACK's eigenvalues, which the closed form replaces at d = 2.

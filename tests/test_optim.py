@@ -265,6 +265,25 @@ def test_run_rejects_non_finite_start():
         run(obj, np.array([np.inf, 0.0]), cfg, derive_stream(0, 1, 0))
 
 
+def test_run_trials_rejects_bad_input():
+    rng = np.random.default_rng(9)
+    obj = make_ls(rng)
+    cfg = OptimizerConfig(batch_size=3, max_steps=2)
+    batches = rng.integers(0, obj.n, size=(4, 2, 3))
+    theta0 = np.zeros(obj.d)
+    for bad in (-1, obj.n):
+        outside = batches.copy()
+        outside[1, 1, 2] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            run_trials(obj, theta0, outside, cfg)
+    with pytest.raises(ValueError, match="empty"):
+        run_trials(obj, theta0, np.zeros((4, 2, 0), dtype=int), cfg)
+    start = np.zeros((4, obj.d))
+    start[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_trials(obj, start, batches, cfg)
+
+
 # ---------------------------------------------------------------------------
 # the trial-stacked engine
 # ---------------------------------------------------------------------------
@@ -322,6 +341,30 @@ def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
     trace = run(obj, theta0[0], cfg, derive_stream(5, 1, 0))
     again = run_trials(obj, theta0[0], np.array([[rec.batch for rec in trace.records]]), cfg)
     assert np.array_equal(trace.thetas(), again.thetas[0, 1:])
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("case", [0, 2])
+def test_chained_one_step_calls_reproduce_a_run_bitwise(case, filtered):
+    # d = 2 least squares and d = 5 logistic regression.
+    obj, size = _engine_cases()[case]
+    cfg = OptimizerConfig(batch_size=size, max_steps=12,
+                          filter=FilterConfig(alpha=0.9, beta=0.2, dim=obj.d) if filtered else None)
+    theta0 = np.linspace(0.5, -0.5, obj.d)
+    trace = run(obj, theta0, cfg, derive_stream(3, 1, case))
+    theta, belief = theta0, None
+    for rec in trace.records:
+        if filtered:
+            step, belief = filtered_step(obj, theta, rec.batch, belief, cfg, t=rec.t)
+        else:
+            step = unfiltered_step(obj, theta, rec.batch, cfg, t=rec.t)
+        assert step.t == rec.t
+        for name in ("theta_before", "theta_after", "direction", "newton_direction", "batch"):
+            assert np.array_equal(getattr(step, name), getattr(rec, name))
+        assert step.step_length == rec.step_length
+        assert step.rho_m == rec.rho_m and step.fallback_fired == rec.fallback_fired
+        assert (rec.rho_m is None) == (not filtered or rec.t == 1)
+        theta = step.theta_after
 
 
 @pytest.mark.parametrize("case", range(3))
