@@ -48,6 +48,7 @@ from .linalg import (
     cholesky_solve,
     largest_eigenvalues,
     solve_spd,
+    spd_solve,
     spectral_norm,
     sym,
     try_cholesky,

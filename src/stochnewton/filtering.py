@@ -55,15 +55,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import (
-    cholesky,
-    cholesky_factors,
-    cholesky_lower,
-    cholesky_solve,
-    largest_eigenvalues,
-    solve_spd,
-    sym,
-)
+from .linalg import cholesky, cholesky_factors, largest_eigenvalues, solve_spd, spd_solve, sym
 from .objectives import _members
 
 __all__ = [
@@ -126,11 +118,11 @@ class GaussianBelief:
 
     ``sigma_factor`` is the lower Cholesky factor of ``sigma``, kept
     from the PD check of the update so that the step direction needs no
-    second factorization. When it is not given it is computed from
-    ``sigma``, and a ``sigma`` that is not PD raises
-    PositiveDefiniteError. The beliefs of a stack of trials (see
-    ``dkf_updates``) share one object whose fields carry a leading trial
-    axis.
+    second factorization where ``spd_solve`` substitutes (small d). When
+    it is not given it is computed from ``sigma``, and a ``sigma`` that
+    is not PD raises PositiveDefiniteError. The beliefs of a stack of
+    trials (see ``dkf_updates``) share one object whose fields carry a
+    leading trial axis.
     """
 
     mu: np.ndarray
@@ -143,7 +135,7 @@ class GaussianBelief:
 
     def direction(self):
         """The filtered step direction -sigma^-1 mu."""
-        return -cholesky_solve(self.sigma_factor, self.mu)
+        return -spd_solve(self.sigma, self.mu, self.sigma_factor)
 
 
 @dataclass(frozen=True)
@@ -198,7 +190,7 @@ def momentum_matrix(cfg, sigma_prev):
     """
     sigma_prev = np.asarray(sigma_prev, dtype=float)
     r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * np.eye(sigma_prev.shape[0]))
-    m = cfg.alpha * cholesky_solve(cholesky(r), sigma_prev)
+    m = cfg.alpha * spd_solve(r, sigma_prev, cholesky(r))
     return MomentumMatrix(m=m, rho=float(_momentum_norm(cfg, largest_eigenvalues(sigma_prev))))
 
 
@@ -230,8 +222,8 @@ def _updates(cfg, prev, obs):
     # R = alpha^2 Sigma + beta I is PD whenever Sigma is.
     r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * eye)
     eyes = eye[None]
-    q_inv = sym(cholesky_solve(obs.q_factor, eyes))
-    r_inv = sym(cholesky_solve(cholesky_lower(r), eyes))
+    q_inv = sym(spd_solve(obs.q, eyes, obs.q_factor))
+    r_inv = sym(spd_solve(r, eyes))
 
     fallback = ~cholesky_factors(q_inv - s_inv)[1]
     q_inv_eff = q_inv + fallback[:, None, None] * s_inv
@@ -239,10 +231,16 @@ def _updates(cfg, prev, obs):
     # A sum of exactly symmetric matrices, so no sym() is needed.
     precision = q_inv_eff + r_inv - s_inv
     factor, precision_pd = cholesky_factors(precision)
-    sigma = sym(cholesky_solve(factor, eyes))
+    rhs = (q_inv_eff @ obs.f[..., None]) + cfg.alpha * (r_inv @ prev.mu[..., None])
+    # Sigma_t and mu_t = Sigma_t rhs from one solve of the precision
+    # against [I | rhs].
+    columns = np.empty((*rhs.shape[:-1], cfg.dim + 1))
+    columns[..., :-1] = eye
+    columns[..., -1:] = rhs
+    x = spd_solve(precision, columns, factor)
+    sigma = sym(x[..., :-1])
+    mu = x[..., -1]
     sigma_factor, sigma_pd = cholesky_factors(sigma)
-    rhs = (q_inv_eff @ obs.f[..., None])[..., 0] + cfg.alpha * (r_inv @ prev.mu[..., None])[..., 0]
-    mu = cholesky_solve(factor, rhs)
 
     lam_max = largest_eigenvalues(sigma_prev)
     failures = {}

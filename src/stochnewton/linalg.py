@@ -1,9 +1,8 @@
 """Dense symmetric-positive-definite matrix kernel.
 
 Everything here targets small matrices (d up to ~100): covariance and
-precision updates, Newton solves and spectral-norm monitoring. All
-solves are routed through a Cholesky factorization; explicit cofactor
-inverses are never formed.
+precision updates, Newton solves and spectral-norm monitoring. Explicit
+cofactor inverses are never formed.
 
 The kernels take one matrix (d, d) or a stack (..., d, d) and treat
 every member on its own, so a member's result does not depend on what
@@ -14,13 +13,17 @@ stop a whole stack.
 
 Which kernel runs depends on d alone:
 
-- ``cholesky_solve`` solves the two triangular systems by elementwise
-  forward and back substitution, one row at a time over the whole
-  stack, when d <= SUBSTITUTION_MAX_DIM, and with LAPACK's solver
-  gufunc above that. Substitution makes about d^2 numpy calls however
-  large the stack is, where LAPACK pays a fixed cost per member, so
-  substitution is several times faster on stacks of a hundred or more
-  small matrices and several times slower on a single one.
+- ``spd_solve`` solves m x = b. When d <= SUBSTITUTION_MAX_DIM it
+  solves the two triangular systems of the Cholesky factor of m by
+  elementwise forward and back substitution, one row at a time over the
+  whole stack, using the factor the caller already has or computing it.
+  Above that it makes one call of LAPACK's LU solver gufunc on m
+  itself, which costs about half of solving the two triangular systems
+  of the factor with the same general solver. Substitution makes about
+  d^2 numpy calls however large the stack is, where LAPACK pays a fixed
+  cost per member, so substitution is several times faster on stacks of
+  a hundred or more small matrices and several times slower on a single
+  one. Every solve in the library goes through it.
 - ``largest_eigenvalues`` uses the closed form at d = 2 and LAPACK's
   symmetric eigenvalue gufunc otherwise.
 
@@ -52,17 +55,19 @@ __all__ = [
     "cholesky",
     "try_cholesky",
     "cholesky_solve",
+    "spd_solve",
     "solve_spd",
     "largest_eigenvalues",
     "spectral_norm",
 ]
 
-# Largest d at which cholesky_solve substitutes instead of calling
-# LAPACK. Chosen from timings at stack sizes 1, 100 and 1000 with one
-# BLAS thread: substitution is faster on stacks of 100 or more up to
-# d = 5, and slower on a single matrix at every d. Single runs at
-# d = 5 and above make tens of thousands of one-matrix solves, so those
-# dimensions stay on LAPACK.
+# Largest d at which spd_solve substitutes through the Cholesky factor
+# instead of making one LU solve of the matrix. Chosen from timings at
+# stack sizes 1, 100 and 1000 with one BLAS thread: substitution is
+# faster on stacks of 1000 up to d = 6, on stacks of 100 only for
+# identity right-hand sides up to d = 5, and 6 to 36 times slower on a
+# single matrix at every d. Single runs at d = 5 and above make tens of
+# thousands of one-matrix solves, so those dimensions stay on LAPACK.
 SUBSTITUTION_MAX_DIM = 4
 
 
@@ -143,23 +148,37 @@ def cholesky(m):
     return c
 
 
-def cholesky_solve(factor, b):
-    """Solve m x = b given the lower Cholesky factor of m.
+def spd_solve(m, b, factor=None):
+    """Solve m x = b for SPD ``m``, with its lower Cholesky factor if known.
 
-    ``factor`` is one factor (d, d) or a stack (..., d, d). ``b`` holds
-    one right-hand side per factor, (..., d), when it has one axis fewer
-    than ``factor``, and columns of right-hand sides, (..., d, k),
-    otherwise. The two triangular systems are solved in turn, by
-    substitution when d <= SUBSTITUTION_MAX_DIM and by LAPACK above.
+    ``m`` is one matrix (d, d) or a stack (..., d, d), and ``factor``,
+    when given, its lower Cholesky factors. ``b`` holds one right-hand
+    side per matrix, (..., d), when it has one axis fewer than ``m``,
+    and columns of right-hand sides, (..., d, k), otherwise. When
+    d <= SUBSTITUTION_MAX_DIM the two triangular systems of the factor
+    are solved by substitution, and the factor is computed (without a
+    PD test) only when it is not given; above that ``m`` is solved by
+    one LU factorization and ``factor`` is not read. No input is
+    checked.
     """
     b = np.asarray(b, dtype=float)
-    vector = b.ndim < factor.ndim
-    if factor.shape[-1] <= SUBSTITUTION_MAX_DIM:
+    vector = b.ndim < m.ndim
+    if m.shape[-1] <= SUBSTITUTION_MAX_DIM:
+        if factor is None:
+            factor = cholesky_lower(m)
         x = _substitute(factor[..., None], b[..., None] if vector else b)
         return x[..., 0] if vector else x
     solve = _umath_linalg.solve1 if vector else _umath_linalg.solve
-    y = solve(factor, b, signature="dd->d")
-    return solve(factor.swapaxes(-1, -2), y, signature="dd->d")
+    return solve(m, b, signature="dd->d")
+
+
+def cholesky_solve(factor, b):
+    """Solve m x = b given the lower Cholesky factor of m.
+
+    ``factor`` is one factor (d, d) or a stack (..., d, d), and ``b`` as
+    for ``spd_solve``, which gets m as factor @ factor^T.
+    """
+    return spd_solve(factor @ factor.swapaxes(-1, -2), b, factor)
 
 
 def _substitute(lower, b):
@@ -186,14 +205,16 @@ def _substitute(lower, b):
 
 
 def solve_spd(m, b):
-    """Solve m x = b for SPD ``m`` via Cholesky.
+    """Solve m x = b for one SPD matrix ``m`` with ``spd_solve``.
 
-    Propagates PositiveDefiniteError when the factorization fails.
+    Raises PositiveDefiniteError when ``m`` fails the Cholesky PD test,
+    ValueError on non-finite input.
     """
     b = np.asarray(b, dtype=float)
     if not np.isfinite(b.sum()):
         raise ValueError("right-hand side contains non-finite entries")
-    return cholesky_solve(cholesky(m), b)
+    factor = cholesky(m)
+    return spd_solve(np.asarray(m, dtype=float), b, factor)
 
 
 def largest_eigenvalues(m):

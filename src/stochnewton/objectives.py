@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import PositiveDefiniteError, cholesky, cholesky_factors, cholesky_solve, sym
+from .linalg import PositiveDefiniteError, cholesky, cholesky_factors, spd_solve, sym
 
 __all__ = [
     "NumericalError",
@@ -87,8 +87,9 @@ class BatchObservation:
 
     ``q_factor`` is the lower Cholesky factor of ``q``, so that the
     Newton solve and the filter reuse the factorization that certified
-    ``q`` as PD. When it is not given it is computed from ``q``, and a
-    ``q`` that is not PD raises PositiveDefiniteError. ``ridge_eps`` is
+    ``q`` as PD where ``spd_solve`` substitutes (small d). When it is
+    not given it is computed from ``q``, and a ``q`` that is not PD
+    raises PositiveDefiniteError. ``ridge_eps`` is
     the eps of the eps*I that the ridge added to the batch-mean Hessian
     to make ``q``, 0 where none was added. The observations of a stack
     of trials (see ``evaluate_batches``) share one object whose fields
@@ -107,7 +108,7 @@ class BatchObservation:
 
     def newton_direction(self):
         """The batch Newton direction -q^-1 f."""
-        return -cholesky_solve(self.q_factor, self.f)
+        return -spd_solve(self.q, self.f, self.q_factor)
 
 
 def sample_batch(rng, n, size):

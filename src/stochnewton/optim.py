@@ -279,7 +279,9 @@ def run_trials(obj, theta0, batches, cfg):
     """
     idx = sorted_batch(obj, batches)
     count, steps, _ = idx.shape
-    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (count, obj.d)))
+    # C order, as every later iterate has: a trial's arithmetic must not
+    # depend on whether it shares theta0 with a stack.
+    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (count, obj.d)), order="C")
     if not np.isfinite(theta).all():
         raise ValueError("theta0 contains non-finite entries")
     trace = _empty_trace(count, steps, obj.d)

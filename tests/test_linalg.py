@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from stochnewton.linalg import (
     largest_eigenvalues,
     pd_tolerance,
     solve_spd,
+    spd_solve,
     spectral_norm,
     sym,
     try_cholesky,
@@ -160,15 +163,10 @@ def _right_hand_side(rng, kind, count, d):
     return np.eye(d)[None]  # broadcast over the stack, as the filter passes it
 
 
-@pytest.mark.parametrize("kind", ["vector", "matrix", "identity"])
-@pytest.mark.parametrize("d", range(1, SUBSTITUTION_MAX_DIM + 1))
-def test_substitution_agrees_with_lapack_solve(d, kind):
-    rng = np.random.default_rng(d)
-    count = 200
-    m = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
-    b = _right_hand_side(rng, kind, count, d)
-    x = cholesky_solve(np.linalg.cholesky(m), b)
-    if kind == "vector":
+def _assert_agrees_with_lapack_solve(m, b, x):
+    """``x`` solves the stack ``m`` against ``b`` to 1e-12 relative, member by member."""
+    count, d = m.shape[:2]
+    if b.ndim == 2:
         ref = np.linalg.solve(m, b[..., None])[..., 0]
     else:
         ref = np.linalg.solve(m, np.broadcast_to(b, (count, d, b.shape[-1])))
@@ -177,22 +175,56 @@ def test_substitution_agrees_with_lapack_solve(d, kind):
     assert np.all(err <= 1e-12 * scale)
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("kind", ["vector", "matrix", "identity"])
+@pytest.mark.parametrize("d", range(1, SUBSTITUTION_MAX_DIM + 1))
+def test_substitution_agrees_with_lapack_solve(d, kind):
+    rng = np.random.default_rng(d)
+    count = 200
+    m = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
+    b = _right_hand_side(rng, kind, count, d)
+    _assert_agrees_with_lapack_solve(m, b, cholesky_solve(np.linalg.cholesky(m), b))
+
+
+@pytest.mark.parametrize("given_factor", [False, True])
+@pytest.mark.parametrize("kind", ["vector", "matrix", "identity"])
+@pytest.mark.parametrize("d", [1, 2, SUBSTITUTION_MAX_DIM, SUBSTITUTION_MAX_DIM + 1, 20])
+def test_spd_solve_agrees_with_lapack_solve(d, kind, given_factor):
+    rng = np.random.default_rng(100 + d)
+    count = 50
+    m = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
+    b = _right_hand_side(rng, kind, count, d)
+    with warnings.catch_warnings():
+        # No kernel may flag an invalid value on PD input.
+        warnings.simplefilter("error", RuntimeWarning)
+        x = spd_solve(m, b, np.linalg.cholesky(m) if given_factor else None)
+    _assert_agrees_with_lapack_solve(m, b, x)
+
+
+_SOLVES = {
+    "cholesky_solve": lambda m, factor, b: cholesky_solve(factor, b),
+    "spd_solve": lambda m, factor, b: spd_solve(m, b),
+    "spd_solve, factor given": lambda m, factor, b: spd_solve(m, b, factor),
+}
+
+
+@settings(max_examples=90, deadline=None)
 @given(d=st.sampled_from([1, 2, SUBSTITUTION_MAX_DIM, SUBSTITUTION_MAX_DIM + 1, 20]),
        count=st.integers(1, 6), kind=st.sampled_from(["vector", "matrix", "identity"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_stacked_solve_equals_one_member_solves_bitwise(d, count, kind, seed):
+       solve=st.sampled_from(sorted(_SOLVES)), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_solve_equals_one_member_solves_bitwise(d, count, kind, solve, seed):
     # The kernel is chosen by d alone, so a member gets the same bits in
     # a stack of any size.
+    solve = _SOLVES[solve]
     rng = np.random.default_rng(seed)
-    factor = np.linalg.cholesky(np.array([random_spd(rng, d) for _ in range(count)]))
+    m = np.array([random_spd(rng, d) for _ in range(count)])
+    factor = np.linalg.cholesky(m)
     b = _right_hand_side(rng, kind, count, d)
-    stacked = cholesky_solve(factor, b)
+    stacked = solve(m, factor, b)
     for i in range(count):
         member = b if kind == "identity" else b[i:i + 1]
-        assert np.array_equal(cholesky_solve(factor[i:i + 1], member)[0], stacked[i])
+        assert np.array_equal(solve(m[i:i + 1], factor[i:i + 1], member)[0], stacked[i])
         if kind == "vector":
-            assert np.array_equal(cholesky_solve(factor[i], b[i]), stacked[i])
+            assert np.array_equal(solve(m[i], factor[i], b[i]), stacked[i])
 
 
 def test_closed_form_largest_eigenvalue_matches_lapack():

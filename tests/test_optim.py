@@ -314,6 +314,20 @@ def _engine_cases():
     ]
 
 
+def _assert_members_equal_one_trial_runs(obj, theta0, batches, cfg, stacked):
+    """Each trial of ``stacked`` equals a run of that trial alone, bit for bit."""
+    steps = batches.shape[1]
+    for i in range(len(batches)):
+        alone = run_trials(obj, theta0[i] if theta0.ndim == 2 else theta0, batches[i:i + 1], cfg)
+        assert alone.failed_step[0] == stacked.failed_step[i]
+        done = stacked.failed_step[i] - 1 if stacked.failed_step[i] else steps
+        assert np.array_equal(alone.thetas[0, :done + 1], stacked.thetas[i, :done + 1])
+        for name in ("directions", "newton_directions", "step_lengths", "armijo_satisfied",
+                     "ridge_eps", "rho", "fallback", "sigma_lam_max"):
+            assert np.array_equal(getattr(alone, name)[0, :done], getattr(stacked, name)[i, :done],
+                                  equal_nan=True)
+
+
 @pytest.mark.parametrize("filtered", [False, True])
 @pytest.mark.parametrize("case", range(3))
 def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
@@ -328,15 +342,10 @@ def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
     stacked = run_trials(obj, theta0, batches, cfg)
     assert stacked.failed_step.tolist() == [0, 0, 1, 0, 0, 0]
     assert isinstance(stacked.errors[2], NumericalError)
-    for i in range(count):
-        alone = run_trials(obj, theta0[i], batches[i:i + 1], cfg)
-        assert alone.failed_step[0] == stacked.failed_step[i]
-        done = stacked.failed_step[i] - 1 if stacked.failed_step[i] else steps
-        assert np.array_equal(alone.thetas[0, :done + 1], stacked.thetas[i, :done + 1])
-        for name in ("directions", "newton_directions", "step_lengths", "armijo_satisfied",
-                     "ridge_eps", "rho", "fallback", "sigma_lam_max"):
-            assert np.array_equal(getattr(alone, name)[0, :done], getattr(stacked, name)[i, :done],
-                                  equal_nan=True)
+    _assert_members_equal_one_trial_runs(obj, theta0, batches, cfg, stacked)
+    # A stack that shares one (d,) theta0.
+    shared = run_trials(obj, theta0[0], batches, cfg)
+    _assert_members_equal_one_trial_runs(obj, theta0[0], batches, cfg, shared)
     # The one-trial entry point is the same engine.
     trace = run(obj, theta0[0], cfg, derive_stream(5, 1, 0))
     again = run_trials(obj, theta0[0], np.array([[rec.batch for rec in trace.records]]), cfg)
