@@ -281,10 +281,6 @@ class ExperimentResult:
     data: LeastSquaresData
 
 
-# Residual entries held at once while the objective curves are formed.
-_RESIDUAL_BUDGET = 1 << 17
-
-
 def _draw_batches(cfg):
     """Every trial's batches, (trials, steps, batch_size), each from its own stream.
 
@@ -297,16 +293,17 @@ def _draw_batches(cfg):
     return np.stack(draws).reshape(cfg.trials, cfg.steps, cfg.batch_size)
 
 
-def _trajectory_curves(trace, theta_star, obj):
-    """Per-trial distance to the optimum, objective and displacement after each step."""
+def _trajectory_curves(trace, theta_star, gram, f_star):
+    """Per-trial distance to the optimum, objective and displacement after each step.
+
+    The objective is f* + 1/2 delta^T G delta, with delta = theta - theta*,
+    G = X^T X / n and f* the objective at theta*.
+    """
     after = trace.thetas[:, 1:]
-    dist = np.linalg.norm(after - theta_star, axis=-1)
+    delta = after - theta_star
+    dist = np.linalg.norm(delta, axis=-1)
     disp = np.linalg.norm(after - trace.thetas[:, :-1], axis=-1)
-    objv = np.empty(dist.shape)
-    chunk = max(1, _RESIDUAL_BUDGET // (after.shape[1] * obj.n))
-    for start in range(0, len(after), chunk):
-        residuals = after[start:start + chunk] @ obj.data.xs.T - obj.data.ys
-        objv[start:start + chunk] = 0.5 * np.mean(residuals * residuals, axis=-1)
+    objv = f_star + 0.5 * np.vecdot(delta @ gram, delta)
     return dist, objv, disp
 
 
@@ -340,6 +337,8 @@ def run_paired_trials(cfg, workers=1):
         raise ValueError("workers must be >= 1")
     data = generate_data(cfg, derive_stream(cfg.master_seed, DATA_STREAM))
     theta_star = exact_mle(data)
+    gram = data.xs.T @ data.xs / data.n
+    f_star = 0.5 * np.mean(np.square(data.xs @ theta_star - data.ys))
     obj = LeastSquaresObjective(data)
     batches = _draw_batches(cfg)
     stacks = [part for part in np.array_split(batches, workers) if len(part)]
@@ -377,7 +376,7 @@ def run_paired_trials(cfg, workers=1):
         max_rho[defined] = rho[:, defined].max(axis=0)
 
     def method_curves(trace, with_rho):
-        dist, objv, disp = _trajectory_curves(trace, theta_star, obj)
+        dist, objv, disp = _trajectory_curves(trace, theta_star, gram, f_star)
         mean_dist, sd_dist = _mean_sd(dist)
         mean_obj, sd_obj = _mean_sd(objv)
         mean_disp, sd_disp = _mean_sd(disp)

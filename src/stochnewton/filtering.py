@@ -20,7 +20,11 @@ The update can be rewritten as
     M_t = alpha (alpha^2 Sigma_{t-1} + beta I)^-1 Sigma_{t-1},
 
 so the filtered step direction is the plain batch Newton direction plus
-a matrix-momentum carry-over of the previous direction. Keeping the
+a matrix-momentum carry-over of the previous direction. As
+M_t Sigma_{t-1}^-1 mu_{t-1} = alpha R^-1 mu_{t-1}, it is the information
+vector Q_t^-1 f_t + alpha R^-1 mu_{t-1} that the mean formula forms, so
+the filter returns its negative as the step direction and a belief is
+the plain (mu_t, Sigma_t). Keeping the
 spectral norm of M_t below one makes old batches decay exponentially;
 ``check_contraction_bound`` evaluates the sufficient condition
 alpha * Lam_max < alpha^2 * Lam_min + beta on eigenvalue bounds for the
@@ -50,8 +54,8 @@ oracle ``unrolled_direction`` reads; its rho equals the stacked rho bit
 for bit.
 """
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,26 +120,12 @@ class FilterConfig:
 class GaussianBelief:
     """Posterior N(mu, sigma) over the latent full-objective gradient.
 
-    ``sigma_factor`` is the lower Cholesky factor of ``sigma``, kept
-    from the PD check of the update so that the step direction needs no
-    second factorization where ``spd_solve`` substitutes (small d). When
-    it is not given it is computed from ``sigma``, and a ``sigma`` that
-    is not PD raises PositiveDefiniteError. The beliefs of a stack of
-    trials (see ``dkf_updates``) share one object whose fields carry a
-    leading trial axis.
+    The beliefs of a stack of trials (see ``dkf_updates``) share one
+    object whose fields carry a leading trial axis.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    sigma_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.sigma_factor is None:
-            object.__setattr__(self, "sigma_factor", cholesky(self.sigma))
-
-    def direction(self):
-        """The filtered step direction -sigma^-1 mu."""
-        return -spd_solve(self.sigma, self.mu, self.sigma_factor)
 
 
 @dataclass(frozen=True)
@@ -158,6 +148,8 @@ class DkfUpdate(NamedTuple):
 class DkfUpdates(NamedTuple):
     """One filter step of a stack of T trials; every field has the trial axis.
 
+    ``direction`` (T, d) is the step direction -Sigma_t^-1 mu_t, taken as
+    the negative information vector -(Q_eff^-1 f_t + alpha R^-1 mu_{t-1}).
     ``fallback_fired`` (T,) marks the members whose Q_t was replaced,
     ``sigma_lam_max`` (T,) is the largest eigenvalue of each prior
     covariance Sigma_{t-1} and ``rho`` (T,) the spectral norm of each
@@ -165,6 +157,7 @@ class DkfUpdates(NamedTuple):
     """
 
     belief: GaussianBelief
+    direction: np.ndarray
     fallback_fired: np.ndarray
     sigma_lam_max: np.ndarray
     rho: np.ndarray
@@ -172,9 +165,7 @@ class DkfUpdates(NamedTuple):
 
 def init_belief(obs):
     """Belief after the first batch: mu = f_1, sigma = Q_1."""
-    return GaussianBelief(mu=np.array(obs.f, dtype=float),
-                          sigma=np.array(obs.q, dtype=float),
-                          sigma_factor=obs.q_factor)
+    return GaussianBelief(mu=np.array(obs.f, dtype=float), sigma=np.array(obs.q, dtype=float))
 
 
 def _momentum_norm(cfg, lam_max):
@@ -239,8 +230,7 @@ def _updates(cfg, prev, obs):
     columns[..., -1:] = rhs
     x = spd_solve(precision, columns, factor)
     sigma = sym(x[..., :-1])
-    mu = x[..., -1]
-    sigma_factor, sigma_pd = cholesky_factors(sigma)
+    sigma_pd = cholesky_factors(sigma)[1]
 
     lam_max = largest_eigenvalues(sigma_prev)
     failures = {}
@@ -250,7 +240,8 @@ def _updates(cfg, prev, obs):
         for i in np.flatnonzero(~precision_pd):
             failures[i] = FilterDivergenceError("posterior precision is not positive definite")
     update = DkfUpdates(
-        belief=GaussianBelief(mu=mu, sigma=sigma, sigma_factor=sigma_factor),
+        belief=GaussianBelief(mu=x[..., -1], sigma=sigma),
+        direction=-rhs[..., 0],
         fallback_fired=fallback,
         sigma_lam_max=lam_max,
         rho=_momentum_norm(cfg, lam_max),
@@ -265,14 +256,16 @@ def dkf_update_info(cfg, prev, obs):
     replaced by (Q^-1 + S^-1)^-1 before both the covariance and mean
     formulas are applied. This is the one-trial case of ``dkf_updates``,
     with the same rho bit for bit; it also returns the momentum matrix
-    M_t of ``momentum_matrix`` and the effective Q^-1. A posterior that
-    is not PD raises FilterDivergenceError.
+    M_t of ``momentum_matrix`` and the effective Q^-1. A prior
+    covariance that is not PD raises PositiveDefiniteError, and a
+    posterior that is not PD raises FilterDivergenceError.
     """
     d = cfg.dim
     if np.shape(prev.sigma) != (d, d) or np.shape(prev.mu) != (d,):
         raise ValueError(f"belief dimensions do not match dim={d}")
     if obs.q.shape != (d, d) or obs.f.shape != (d,):
         raise ValueError(f"observation dimensions do not match dim={d}")
+    cholesky(prev.sigma)
 
     with np.errstate(invalid="ignore"):
         upd, failures, q_inv_eff = _updates(cfg, _members(prev, None), _members(obs, None))

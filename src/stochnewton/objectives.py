@@ -467,8 +467,8 @@ def _logistic(x):
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def _bernoulli_variance(eta):
-    p = _logistic(eta)
+def _bernoulli_variance(p):
+    """The Bernoulli variance function p (1 - p) of the mean p."""
     return p * (1.0 - p)
 
 
@@ -480,7 +480,7 @@ def bernoulli_family():
         t=lambda xs: np.atleast_2d(np.asarray(xs, dtype=float).reshape(-1, 1)),
         a=lambda theta: float(np.logaddexp(0.0, theta[0])),
         grad_a=lambda theta: np.array([float(_logistic(theta[0]))]),
-        hess_a=lambda theta: np.array([[float(_bernoulli_variance(theta[0]))]]),
+        hess_a=lambda theta: np.array([[float(_bernoulli_variance(_logistic(theta[0])))]]),
         sample=lambda rng, theta, size: (
             rng.random((size, 1)) < _logistic(theta[0])
         ).astype(float),
@@ -532,15 +532,16 @@ class ExpFamilyObjective(SubsampledObjective):
 class ScalarFamily:
     """Scalar exponential-family component for canonical GLMs.
 
-    ``t``, ``a``, ``a_prime``, ``a_double_prime`` act elementwise on
-    arrays; ``sample(rng, eta, size)`` draws responses at natural
-    parameter eta.
+    ``t``, ``a``, ``a_prime`` act elementwise on arrays, and so does
+    ``variance``, the variance function V of the canonical link: it
+    takes the mean A'(eta) and returns A''(eta) = V(A'(eta)).
+    ``sample(rng, eta, size)`` draws responses at natural parameter eta.
     """
 
     t: Callable
     a: Callable
     a_prime: Callable
-    a_double_prime: Callable
+    variance: Callable
     sample: Callable
     name: str = ""
 
@@ -551,7 +552,7 @@ def gaussian_scalar_family():
         t=lambda y: np.asarray(y, dtype=float),
         a=lambda eta: 0.5 * np.square(eta),
         a_prime=lambda eta: np.asarray(eta, dtype=float),
-        a_double_prime=lambda eta: np.ones_like(np.asarray(eta, dtype=float)),
+        variance=np.ones_like,
         sample=lambda rng, eta, size: eta + rng.standard_normal(size),
         name="gaussian",
     )
@@ -563,7 +564,7 @@ def bernoulli_scalar_family():
         t=lambda y: np.asarray(y, dtype=float),
         a=lambda eta: np.logaddexp(0.0, eta),
         a_prime=_logistic,
-        a_double_prime=_bernoulli_variance,
+        variance=_bernoulli_variance,
         sample=lambda rng, eta, size: (rng.random(size) < _logistic(eta)).astype(float),
         name="bernoulli",
     )
@@ -601,7 +602,7 @@ class GlmObjective(SubsampledObjective):
         if not derivatives:
             return (value,)
         mean = np.asarray(fam.a_prime(eta), dtype=float)
-        var = np.asarray(fam.a_double_prime(eta), dtype=float)
+        var = np.asarray(fam.variance(mean), dtype=float)
         return value, xs * (mean - t_ys)[..., None], _gram(xs, var)
 
 

@@ -4,7 +4,8 @@ Both variants draw one uniform batch per step, form the batch gradient
 and Hessian, pick a step length by backtracking line search on the
 batch objective, and update the iterate. The unfiltered variant steps
 along -Q_t^-1 f_t; the filtered variant runs the Gaussian filter over
-the batch observations and steps along -Sigma_t^-1 mu_t. There is no
+the batch observations and steps along -Sigma_t^-1 mu_t, the negative
+information vector that the filter update forms. There is no
 termination test: a run always executes ``max_steps`` steps.
 
 ``run_trials`` is the engine. It runs a stack of trials of one variant
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import line_search
 from .filtering import FilterConfig, FilterDivergenceError, dkf_updates, init_belief
+from .linalg import cholesky
 from .objectives import (_members, _one_trial, batch_mean_values, evaluate_batches, sample_batch,
                          sorted_batch)
 
@@ -86,10 +88,9 @@ class StepRecord:
 
 @dataclass
 class TrialTrace:
-    """Per-step records of one run plus stream provenance."""
+    """Per-step records of one run."""
 
     records: List[StepRecord] = field(default_factory=list)
-    seed_info: str = ""
 
     def thetas(self):
         """Iterates after each step, shape (len(records), d)."""
@@ -197,8 +198,7 @@ def _stacked_step(obj, cfg, filtered, t, theta, idx, belief, trace, rows, s):
         upd, diverged = dkf_updates(cfg.filter, belief, obs)
         for i, err in diverged.items():
             failures.setdefault(i, FilterDivergenceError(str(err), step=t))
-        belief = upd.belief
-        direction = belief.direction()
+        belief, direction = upd.belief, upd.direction
         trace.rho[rows, s] = upd.rho
         trace.fallback[rows, s] = upd.fallback_fired
         trace.sigma_lam_max[rows, s] = upd.sigma_lam_max
@@ -263,8 +263,11 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
 
     ``belief_prev`` of None means this is the first step, which
     initializes the belief from the batch observation and therefore
-    takes the unfiltered direction bit for bit.
+    takes the unfiltered direction bit for bit. A prior covariance that
+    is not PD raises PositiveDefiniteError.
     """
+    if belief_prev is not None:
+        cholesky(belief_prev.sigma)
     return _one_step(obj, theta_prev, batch, belief_prev, cfg, True, t)
 
 
@@ -311,7 +314,7 @@ def run_trials(obj, theta0, batches, cfg):
     return trace
 
 
-def run(obj, theta0, cfg, rng, seed_info=""):
+def run(obj, theta0, cfg, rng):
     """Run ``cfg.max_steps`` steps, drawing one batch per step from ``rng``.
 
     All batches are drawn up front, in step order, with one call that
@@ -325,7 +328,7 @@ def run(obj, theta0, cfg, rng, seed_info=""):
     stacked = run_trials(obj, theta0, batches[None], cfg)
     failed = int(stacked.failed_step[0])
     view = stacked.select(0)
-    trace = TrialTrace(seed_info=seed_info, records=[
+    trace = TrialTrace(records=[
         _record(view, t - 1, t, batches[t - 1], cfg.filter is not None and t > 1)
         for t in range(1, failed or cfg.max_steps + 1)
     ])

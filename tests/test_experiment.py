@@ -257,6 +257,22 @@ def test_curve_lengths_match_steps():
     assert result.curves.unfiltered.mean_rho is None
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_objective_curves_match_plain_residuals(d):
+    # The curves take the objective from the optimum, f* + 1/2 delta^T G
+    # delta; it must agree with averaging every squared residual.
+    result = run_paired_trials(small_config(d=d, n=60))
+    xs, ys = result.data.xs, result.data.ys
+    f_star = 0.5 * np.mean((xs @ result.theta_star - ys) ** 2)
+    for method in ("unfiltered", "filtered"):
+        residuals = getattr(result, method).thetas[:, 1:] @ xs.T - ys
+        objective = 0.5 * np.mean(residuals * residuals, axis=-1)
+        curves = getattr(result.curves, method)
+        assert_allclose(curves.mean_obj, objective.mean(axis=0), rtol=1e-12, atol=0)
+        assert_allclose(curves.sd_obj, objective.std(axis=0), rtol=1e-12, atol=0)
+        assert np.all(curves.mean_obj >= f_star)
+
+
 # ---------------------------------------------------------------------------
 # rho monitor
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,9 @@ from stochnewton.filtering import (
     momentum_matrix,
     unrolled_direction,
 )
-from stochnewton.linalg import PositiveDefiniteError, cholesky, solve_spd, spectral_norm
-from stochnewton.objectives import BatchObservation
+from stochnewton.linalg import PositiveDefiniteError, solve_spd, spectral_norm
+from stochnewton.objectives import BatchObservation, LeastSquaresData, LeastSquaresObjective
+from stochnewton.optim import OptimizerConfig, filtered_step
 
 from helpers import eig_extremes, random_spd
 
@@ -113,20 +116,46 @@ def test_stationary_prior_matrix_case():
     assert np.max(np.abs(out.sigma - q)) <= 1e-12
 
 
-def test_belief_carries_the_cholesky_factor_of_sigma():
+def stack_of_one(x):
+    """The belief or observation ``x`` as a stack of one trial."""
+    return replace(x, **{f.name: np.asarray(getattr(x, f.name), dtype=float)[None] for f in fields(x)})
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_direction_is_the_information_vector(d):
+    # The step direction -Sigma_t^-1 mu_t is taken as the negative
+    # information vector -(Q_eff^-1 f_t + alpha R^-1 mu_{t-1}), not by
+    # solving Sigma_t back; the two agree to rounding.
     rng = np.random.default_rng(5)
-    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=3)
-    first = random_obs(rng, 3)
-    belief = init_belief(first)
-    assert np.array_equal(belief.sigma_factor, first.q_factor)
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=d)
+    belief = init_belief(random_obs(rng, d))
     for _ in range(5):
-        belief = dkf_update(cfg, belief, random_obs(rng, 3))
-        assert np.array_equal(belief.sigma_factor, cholesky(belief.sigma))
-        assert np.array_equal(belief.direction(), -solve_spd(belief.sigma, belief.mu))
-    given = GaussianBelief(mu=belief.mu, sigma=belief.sigma)
-    assert np.array_equal(given.sigma_factor, belief.sigma_factor)
-    with pytest.raises(PositiveDefiniteError):
-        GaussianBelief(mu=np.zeros(2), sigma=np.diag([1.0, 0.0]))
+        observation = random_obs(rng, d)
+        info = dkf_update_info(cfg, belief, observation)
+        with np.errstate(invalid="ignore"):
+            upd, _ = dkf_updates(cfg, stack_of_one(belief), stack_of_one(observation))
+        direction = upd.direction[0]
+        r = cfg.alpha ** 2 * belief.sigma + cfg.beta * np.eye(d)
+        information = info.q_inv_effective @ observation.f + cfg.alpha * np.linalg.solve(r, belief.mu)
+        assert_allclose(direction, -information, rtol=1e-12, atol=0)
+        solved = -solve_spd(info.belief.sigma, info.belief.mu)
+        assert np.linalg.norm(direction - solved) <= 1e-12 * np.linalg.norm(solved)
+        belief = info.belief
+
+
+def test_a_prior_that_is_not_pd_raises_where_it_enters():
+    # A belief is the plain (mu, Sigma) and is not checked when built;
+    # the one-trial entry points check a caller's prior covariance.
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=2)
+    xs = np.random.default_rng(5).standard_normal((10, 2))
+    obj = LeastSquaresObjective(LeastSquaresData(xs=xs, ys=xs @ np.ones(2)))
+    for sigma in (np.diag([1.0, 0.0]), -0.1 * np.eye(2)):
+        prior = GaussianBelief(mu=np.zeros(2), sigma=sigma)
+        with pytest.raises(PositiveDefiniteError):
+            dkf_update_info(cfg, prior, obs([0.5, -0.2], np.eye(2)))
+        with pytest.raises(PositiveDefiniteError):
+            filtered_step(obj, np.zeros(2), np.array([0, 1, 2]), prior,
+                          OptimizerConfig(batch_size=3, max_steps=1, filter=cfg))
 
 
 def test_update_matches_density_multiplication_oracle():
@@ -348,8 +377,7 @@ def filter_stacks(draw, q_scale=(0.05, 5.0)):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sigma = np.array([random_spd(rng, d, 0.1, 4.0) for _ in range(count)])
     q = np.array([random_spd(rng, d, *q_scale) for _ in range(count)])
-    prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma,
-                          sigma_factor=np.linalg.cholesky(sigma))
+    prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma)
     observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
                                    q_factor=np.linalg.cholesky(q))
     return cfg, prev, observation
@@ -379,10 +407,12 @@ def test_stacked_update_equals_one_trial_updates_bitwise(stack):
     cfg, prev, observation = stack
     upd, _ = stacked_update(cfg, prev, observation)
     for i in range(len(prev.mu)):
-        one = dkf_update_info(
-            cfg, GaussianBelief(mu=prev.mu[i], sigma=prev.sigma[i], sigma_factor=prev.sigma_factor[i]),
-            BatchObservation(f=observation.f[i], q=observation.q[i], value=0.0,
-                             q_factor=observation.q_factor[i]))
+        member = (GaussianBelief(mu=prev.mu[i], sigma=prev.sigma[i]),
+                  BatchObservation(f=observation.f[i], q=observation.q[i], value=0.0,
+                                   q_factor=observation.q_factor[i]))
+        one = dkf_update_info(cfg, *member)
+        alone, _ = stacked_update(cfg, *map(stack_of_one, member))
+        assert np.array_equal(alone.direction[0], upd.direction[i])
         assert np.array_equal(one.belief.mu, upd.belief.mu[i])
         assert np.array_equal(one.belief.sigma, upd.belief.sigma[i])
         assert one.fallback_fired == upd.fallback_fired[i]
@@ -399,7 +429,7 @@ def test_stacked_stationary_prior_returns_q(stack):
     observation = BatchObservation(f=observation.f, q=s * observation.q / 5.0, value=observation.value,
                                    q_factor=np.linalg.cholesky(s * observation.q / 5.0))
     stationary = s * np.broadcast_to(np.eye(cfg.dim), prev.sigma.shape)
-    prev = GaussianBelief(mu=prev.mu, sigma=stationary, sigma_factor=np.linalg.cholesky(stationary))
+    prev = GaussianBelief(mu=prev.mu, sigma=stationary)
     upd, failures = stacked_update(cfg, prev, observation)
     assert not failures and not upd.fallback_fired.any()
     assert np.max(np.abs(upd.belief.sigma - observation.q)) <= 1e-10 * s
@@ -427,8 +457,7 @@ def test_stacked_rho_equals_the_norm_of_the_formed_momentum_matrix(d):
     cfg = FilterConfig(alpha=0.9, beta=0.2, dim=d)
     sigma = np.array([random_spd(rng, d, 0.02, 5.0) for _ in range(count)])
     q = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
-    prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma,
-                          sigma_factor=np.linalg.cholesky(sigma))
+    prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma)
     observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
                                    q_factor=np.linalg.cholesky(q))
     upd, failures = stacked_update(cfg, prev, observation)

@@ -232,3 +232,21 @@ def test_closed_form_largest_eigenvalue_matches_lapack():
     m = np.array([random_spd(rng, 2, 0.01, 10.0) for _ in range(200)]
                  + [np.eye(2), np.diag([3.0, 0.5]), np.diag([0.5, 3.0]), [[1.0, 1e-9], [1e-9, 1.0]]])
     assert_allclose(largest_eigenvalues(m), np.linalg.eigvalsh(m)[:, -1], rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# numpy's private gufuncs
+# ---------------------------------------------------------------------------
+
+def test_numpy_private_gufuncs_take_the_signatures_linalg_passes():
+    # linalg calls these gufuncs of numpy.linalg._umath_linalg directly;
+    # a numpy release that renames one or changes its loops fails here.
+    from numpy.linalg import _umath_linalg
+
+    m = np.array([[4.0, 1.0], [1.0, 3.0]])
+    b = np.array([1.0, 2.0])
+    assert_allclose(_umath_linalg.cholesky_lo(m, signature="d->d"), np.linalg.cholesky(m))
+    assert_allclose(_umath_linalg.solve(m, np.eye(2), signature="dd->d"), np.linalg.inv(m))
+    assert_allclose(_umath_linalg.solve1(m, b, signature="dd->d"), np.linalg.solve(m, b))
+    assert_allclose(_umath_linalg.eigvalsh_lo(m, signature="d->d"), np.linalg.eigvalsh(m))
+    assert_allclose(_umath_linalg.svd(m, signature="d->d"), np.linalg.svd(m, compute_uv=False))

@@ -195,14 +195,21 @@ def test_stacked_hessian_sums_equal_one_trial_sums_bitwise(d, size, count):
 def test_bernoulli_mean_is_the_logistic_function():
     from scipy.special import expit
 
-    mean = bernoulli_scalar_family().a_prime
+    family = bernoulli_scalar_family()
     x = np.linspace(-700.0, 700.0, 28001)
-    assert_allclose(mean(x), expit(x), rtol=1e-12, atol=0.0)
+    assert_allclose(family.a_prime(x), expit(x), rtol=1e-12, atol=0.0)
     wide = np.linspace(-1e3, 1e3, 20001)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for fn in (mean, bernoulli_scalar_family().a_double_prime):
-            assert np.isfinite(fn(wide)).all()
-    assert mean(np.array(0.0)) == 0.5
+        mean = family.a_prime(wide)
+        variance = family.variance(mean)
+    assert np.isfinite(mean).all() and np.isfinite(variance).all()
+    # A''(eta) = V(A'(eta)): the variance function of the mean is the
+    # logistic density expit(x) expit(-x), checked where x <= 0 and so
+    # 1 - p loses no digits.
+    left = x[x <= 0.0]
+    assert_allclose(family.variance(family.a_prime(left)), expit(left) * expit(-left),
+                    rtol=1e-12, atol=0.0)
+    assert family.a_prime(np.array(0.0)) == 0.5
 
 
 def test_evaluate_batch_bit_identical_across_calls():
