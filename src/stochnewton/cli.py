@@ -44,15 +44,19 @@ def _vector(text):
 
 
 def _add_problem_flags(parser, with_trials=True):
-    parser.add_argument("--n", type=int, default=100, help="sample count (default 100)")
-    parser.add_argument("--d", type=int, default=2, help="parameter dimension (default 2)")
-    parser.add_argument("--batch", type=int, default=5, help="batch size (default 5)")
-    parser.add_argument("--steps", type=int, default=30, help="steps per trial (default 30)")
-    if with_trials:
-        parser.add_argument("--trials", type=int, default=1000, help="paired trials (default 1000)")
-    parser.add_argument("--alpha", type=float, default=0.9, help="state-model alpha (default 0.9)")
-    parser.add_argument("--beta", type=float, default=0.2, help="state-model beta (default 0.2)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    # Every default, and the type it parses as, is ExperimentConfig's.
+    default = ExperimentConfig()
+    for flag, name, text in (("n", "n", "sample count"), ("d", "d", "parameter dimension"),
+                             ("batch", "batch_size", "batch size"),
+                             ("steps", "steps", "steps per trial"),
+                             ("trials", "trials", "paired trials"),
+                             ("alpha", "alpha", "state-model alpha"),
+                             ("beta", "beta", "state-model beta"),
+                             ("seed", "master_seed", "master seed")):
+        if with_trials or flag != "trials":
+            value = getattr(default, name)
+            parser.add_argument(f"--{flag}", type=type(value), default=value,
+                                help=f"{text} (default %(default)s)")
     parser.add_argument("--theta0", type=_vector, default=None,
                         help="start point, comma-separated (default 4.0,-2.0 pattern)")
     parser.add_argument("--theta-true", type=_vector, default=None,
@@ -162,13 +166,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 1
+    # Numerical types first: PositiveDefiniteError is a ValueError (via LinAlgError).
     except (PositiveDefiniteError, NumericalError, FilterDivergenceError,
             StepError, TooManyFailuresError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as err:
+        print(f"input error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

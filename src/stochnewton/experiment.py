@@ -77,7 +77,12 @@ def default_theta0(d):
 
 @dataclass
 class ExperimentConfig:
-    """Benchmark parameters; the defaults are the reference setup."""
+    """Benchmark parameters; the defaults are the reference setup.
+
+    ``generate_data`` fixes the data recipe but for ``noise_var`` and
+    ``theta_true`` (None: all ones); ``theta0`` of None is
+    ``default_theta0``. The line search keeps OptimizerConfig's defaults.
+    """
 
     n: int = 100
     d: int = 2
@@ -86,25 +91,16 @@ class ExperimentConfig:
     trials: int = 1000
     alpha: float = 0.9
     beta: float = 0.2
-    covariate_cov: Optional[np.ndarray] = None
-    noise_mean: float = 1.0
     noise_var: float = 1.0
     master_seed: int = 0
     theta_true: Optional[np.ndarray] = None
     theta0: Optional[np.ndarray] = None
-    armijo_c: float = 0.95
-    armijo_max_halvings: int = 4
 
     def __post_init__(self):
         if min(self.n, self.d, self.batch_size, self.steps, self.trials) < 1:
             raise ValueError("n, d, batch_size, steps, and trials must all be >= 1")
         if self.noise_var < 0.0:
             raise ValueError("noise_var must be nonnegative")
-        if self.covariate_cov is None:
-            self.covariate_cov = default_covariate_cov(self.d)
-        self.covariate_cov = sym(np.asarray(self.covariate_cov, dtype=float))
-        if self.covariate_cov.shape != (self.d, self.d):
-            raise ValueError("covariate_cov must be d x d")
         if self.theta_true is None:
             self.theta_true = np.ones(self.d)
         self.theta_true = np.asarray(self.theta_true, dtype=float).ravel()
@@ -127,16 +123,18 @@ class ExperimentConfig:
             batch_size=self.batch_size,
             max_steps=self.steps,
             filter=self.filter_config() if filtered else None,
-            armijo_c=self.armijo_c,
-            armijo_max_halvings=self.armijo_max_halvings,
         )
 
 
 def generate_data(cfg, rng):
-    """Synthetic regression data: x ~ N(0, cov), y = theta_true.x + N(mean, var)."""
-    chol = np.linalg.cholesky(cfg.covariate_cov)
+    """Synthetic regression data: y = theta_true.x + N(1, noise_var).
+
+    x ~ N(0, C) with C the unit-variance, 0.1-correlation matrix of
+    ``default_covariate_cov``.
+    """
+    chol = np.linalg.cholesky(default_covariate_cov(cfg.d))
     xs = rng.standard_normal((cfg.n, cfg.d)) @ chol.T
-    noise = cfg.noise_mean + math.sqrt(cfg.noise_var) * rng.standard_normal(cfg.n)
+    noise = 1.0 + math.sqrt(cfg.noise_var) * rng.standard_normal(cfg.n)
     return LeastSquaresData(xs=xs, ys=xs @ cfg.theta_true + noise)
 
 

@@ -46,7 +46,7 @@ statement lam_max(Sigma_{t-1}) < 0.635.
 
 ``dkf_updates`` applies the update to a whole stack of trials at once,
 with beliefs and observations that carry a leading trial axis, and
-reports the members whose posterior stopped being PD instead of
+reports the members whose prior or posterior is not PD instead of
 raising; ``dkf_update_info`` is its one-trial case, so a trial gets the
 same bits whether it is filtered alone or in a stack. Only the
 one-trial case also returns M_t and the effective Q_t^-1, which the
@@ -59,7 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import cholesky, cholesky_factors, largest_eigenvalues, solve_spd, spd_solve, sym
+from .linalg import (PositiveDefiniteError, cholesky, cholesky_factors, largest_eigenvalues,
+                     solve_spd, spd_solve, sym)
 from .objectives import _members
 
 __all__ = [
@@ -82,12 +83,6 @@ __all__ = [
 
 class FilterDivergenceError(RuntimeError):
     """Posterior covariance stopped being positive definite."""
-
-    def __init__(self, message, step=None):
-        if step is not None:
-            message = f"step {step}: {message}"
-        super().__init__(message)
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -193,20 +188,23 @@ def dkf_updates(cfg, prev, obs):
     literally: where Q^-1 - S^-1 is not PD, Q is replaced by
     (Q^-1 + S^-1)^-1 before both the covariance and mean formulas are
     applied. Returns ``(update, failures)``: a DkfUpdates, and a map from
-    the position of each member whose posterior stopped being PD to its
-    FilterDivergenceError; the fields of a failed member are not
-    meaningful. A member's result does not depend on the rest of the
-    stack. The fallback test fails for many members by design, and numpy
+    the position of each failed member to its error: PositiveDefiniteError
+    where the prior covariance is not PD, else FilterDivergenceError
+    where the posterior stopped being PD. The fields of a failed member
+    are not meaningful. A member's result does not depend on the rest of
+    the stack. The fallback test fails for many members by design, and numpy
     flags each such factorization as an invalid value: call this under
     ``np.errstate(invalid="ignore")``, as ``dkf_update_info`` and
     ``optim.run_trials`` do.
     """
     update, failures, _ = _updates(cfg, prev, obs)
+    for i in np.flatnonzero(~cholesky_factors(prev.sigma)[1]):
+        failures[i] = PositiveDefiniteError("prior covariance is not positive definite")
     return update, failures
 
 
 def _updates(cfg, prev, obs):
-    """``dkf_updates``, plus the effective Q^-1 of every member."""
+    """``dkf_updates`` without its prior check, plus the effective Q^-1 of every member."""
     eye = np.eye(cfg.dim)
     s_inv = (1.0 / cfg.s_scalar) * eye
     sigma_prev = prev.sigma

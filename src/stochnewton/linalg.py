@@ -90,14 +90,14 @@ def pd_tolerance(m):
     return 1e-12 * (1.0 + m.trace(0, -2, -1) / m.shape[-1])
 
 
-def _as_square(m, name="matrix"):
+def _as_square(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
     # A finite sum certifies that every entry is finite (inf or nan
     # anywhere propagates into the total).
     if not math.isfinite(np.add.reduce(m, axis=None)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return m
 
 

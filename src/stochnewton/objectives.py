@@ -70,14 +70,11 @@ __all__ = [
 class NumericalError(RuntimeError):
     """Non-finite quantity produced while evaluating an objective."""
 
-    def __init__(self, message, theta=None, index=None):
+    def __init__(self, message, theta=None):
         if theta is not None:
             message = f"{message} at theta={np.asarray(theta)!r}"
-        if index is not None:
-            message = f"{message} (sample index {index})"
         super().__init__(message)
         self.theta = None if theta is None else np.array(theta)
-        self.index = index
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import line_search
-from .filtering import FilterConfig, FilterDivergenceError, dkf_updates, init_belief
+from .filtering import FilterConfig, _updates, init_belief
 from .linalg import cholesky
 from .objectives import (_members, _one_trial, batch_mean_values, evaluate_batches, sample_batch,
                          sorted_batch)
@@ -53,7 +53,6 @@ class OptimizerConfig:
     max_steps: int
     filter: Optional[FilterConfig] = None
     armijo_c: float = line_search.DEFAULT_SUFFICIENT_DECREASE
-    armijo_max_halvings: int = line_search.DEFAULT_MAX_HALVINGS
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -91,10 +90,6 @@ class TrialTrace:
     """Per-step records of one run."""
 
     records: List[StepRecord] = field(default_factory=list)
-
-    def thetas(self):
-        """Iterates after each step, shape (len(records), d)."""
-        return np.array([rec.theta_after for rec in self.records])
 
 
 class StepError(RuntimeError):
@@ -174,16 +169,17 @@ def _empty_trace(count, steps, d):
     )
 
 
-def _stacked_step(obj, cfg, filtered, t, theta, idx, belief, trace, rows, s):
-    """Step t of a stack, written into column ``s`` of the runs ``rows`` of ``trace``.
+def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
+    """One step of a stack, written into column ``s`` of the runs ``rows`` of ``trace``.
 
     ``theta`` (T, d) holds the iterates and ``idx`` (T, b) the ascending
     batches; the new iterates go to ``trace.thetas[rows, s + 1]``.
     ``belief`` is the filter's stacked belief, None before the first
-    filtered step. Returns (theta, belief, failures): the new iterates,
-    the new belief, and a map from the position of each member that
-    failed to the first error it met. The line search uses the batch
-    gradient f_t as its gradient argument in both variants, since the
+    filtered step; it holds PD-tested posteriors, so the filter update
+    skips the prior check of ``dkf_updates``. Returns (theta, belief,
+    failures): the new iterates, the new belief, and a map from the
+    position of each member that failed to the first error it met. The
+    line search uses the batch gradient f_t as its gradient argument in both variants, since the
     searched function is the batch objective.
     """
     obs, failures = evaluate_batches(obj, theta, idx)
@@ -195,16 +191,16 @@ def _stacked_step(obj, cfg, filtered, t, theta, idx, belief, trace, rows, s):
         belief = init_belief(obs)
         direction = newton
     else:
-        upd, diverged = dkf_updates(cfg.filter, belief, obs)
+        upd, diverged, _ = _updates(cfg.filter, belief, obs)
         for i, err in diverged.items():
-            failures.setdefault(i, FilterDivergenceError(str(err), step=t))
+            failures.setdefault(i, err)
         belief, direction = upd.belief, upd.direction
         trace.rho[rows, s] = upd.rho
         trace.fallback[rows, s] = upd.fallback_fired
         trace.sigma_lam_max[rows, s] = upd.sigma_lam_max
     lams, satisfied, search = line_search.armijo_search(
         lambda points: batch_mean_values(obj, points, idx[:, None, :]), theta, direction, obs.f,
-        c=cfg.armijo_c, max_halvings=cfg.armijo_max_halvings,
+        c=cfg.armijo_c,
     )
     for i, err in search.items():
         failures.setdefault(i, err)
@@ -245,7 +241,7 @@ def _one_step(obj, theta_prev, batch, belief_prev, cfg, filtered, t):
     if belief_prev is not None:
         belief_prev = _members(belief_prev, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, belief, failures = _stacked_step(obj, cfg, filtered, t, theta, idx, belief_prev, trace,
+        _, belief, failures = _stacked_step(obj, cfg, filtered, theta, idx, belief_prev, trace,
                                             slice(None), 0)
     if failures:
         raise failures[0]
@@ -297,7 +293,7 @@ def run_trials(obj, theta0, batches, cfg):
     belief = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, steps + 1):
-            theta, belief, failures = _stacked_step(obj, cfg, filtered, t, theta, idx[live, t - 1],
+            theta, belief, failures = _stacked_step(obj, cfg, filtered, theta, idx[live, t - 1],
                                                     belief, trace, live, t - 1)
             if failures:
                 members = np.arange(count)[live]

@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stochnewton
 from stochnewton import cli
 from stochnewton.cli import main
+from stochnewton.experiment import ExperimentConfig
+from stochnewton.linalg import PositiveDefiniteError
 
 
 def test_run_paired_writes_csv(tmp_path, capsys):
@@ -105,6 +109,34 @@ def test_numerical_failure_exit_code(tmp_path):
     code = main(["run-paired", "--trials", "4", "--steps", "2",
                  "--theta0", "1e200,1e200", "--out", str(tmp_path / "n")])
     assert code == 2
+
+
+def test_positive_definite_failure_is_a_numerical_failure(monkeypatch):
+    # PositiveDefiniteError is a ValueError too; it must not read as an input error.
+    def not_pd(cfg, workers=1):
+        raise PositiveDefiniteError("matrix is not positive definite at the pivot tolerance")
+
+    monkeypatch.setattr(cli, "run_paired_trials", not_pd)
+    assert main(["run-paired", "--trials", "2", "--steps", "2"]) == 2
+
+
+def test_singular_gram_is_an_input_error(tmp_path, capsys):
+    # exact_mle reports a singular Gram matrix (here n < d) as a ValueError.
+    code = main(["run-paired", "--n", "1", "--trials", "2", "--steps", "2",
+                 "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "Gram matrix is singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-paired", "trace"])
+def test_flag_defaults_are_the_experiment_config_defaults(command):
+    # A default re-typed in argparse would drift from ExperimentConfig's.
+    default = ExperimentConfig()
+    args = cli.build_parser().parse_args([command])
+    # trace has no --trials flag; it runs one trial.
+    cfg = cli._experiment_config(args, trials=None if command == "run-paired" else default.trials)
+    for field in fields(ExperimentConfig):
+        assert np.array_equal(getattr(cfg, field.name), getattr(default, field.name)), field.name
 
 
 def test_theta0_parse_error():

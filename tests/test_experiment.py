@@ -184,7 +184,8 @@ def test_paired_index_logs_agree():
                         derive_stream(cfg.master_seed, BATCH_STREAM, trial))
             assert np.array_equal(np.array([rec.batch for rec in alone.records]),
                                   result.batches[k])
-            assert np.array_equal(alone.thetas(), steps.thetas[k, 1:])
+            assert np.array_equal(np.array([rec.theta_after for rec in alone.records]),
+                                  steps.thetas[k, 1:])
 
 
 def test_worker_threads_do_not_change_results():

@@ -8,6 +8,7 @@ from scipy.stats import multivariate_normal
 
 from stochnewton.filtering import (
     FilterConfig,
+    FilterDivergenceError,
     GaussianBelief,
     check_contraction_bound,
     dkf_update,
@@ -471,3 +472,50 @@ def test_stacked_rho_equals_the_norm_of_the_formed_momentum_matrix(d):
     lam = np.linalg.eigvalsh(sigma)[:, -1]
     assert_allclose(cfg.alpha * lam / (cfg.alpha ** 2 * lam + cfg.beta), expected,
                     rtol=1e-12, atol=0)
+
+
+def _stack(cfg, sigmas, q, q_factor):
+    """Priors with covariances ``sigmas`` and observations Q = ``q``, (count, d, d) each."""
+    rng = np.random.default_rng(11)
+    count, d = len(sigmas), cfg.dim
+    prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=np.array(sigmas))
+    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
+                                   q_factor=q_factor)
+    return prev, observation
+
+
+def _assert_member_0_as_alone(cfg, prev, observation, upd):
+    member = [GaussianBelief(mu=prev.mu[:1], sigma=prev.sigma[:1]),
+              BatchObservation(f=observation.f[:1], q=observation.q[:1], value=np.zeros(1),
+                               q_factor=observation.q_factor[:1])]
+    alone, failures = stacked_update(cfg, *member)
+    assert not failures
+    assert np.array_equal(alone.direction[0], upd.direction[0])
+    assert np.array_equal(alone.belief.sigma[0], upd.belief.sigma[0])
+    assert np.array_equal(alone.belief.mu[0], upd.belief.mu[0])
+
+
+def test_stacked_update_reports_priors_that_are_not_pd():
+    # The stacked entry point checks each caller's prior, as the
+    # one-trial ones do, and reports the same error type per member.
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=2)
+    q = np.array([np.eye(2)] * 3)
+    prev, observation = _stack(cfg, [np.eye(2), -0.1 * np.eye(2), np.diag([1.0, 0.0])],
+                               q, np.linalg.cholesky(q))
+    upd, failures = stacked_update(cfg, prev, observation)
+    assert sorted(failures) == [1, 2]
+    assert all(type(err) is PositiveDefiniteError for err in failures.values())
+    _assert_member_0_as_alone(cfg, prev, observation, upd)
+
+
+def test_stacked_update_reports_a_divergent_member():
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=2)
+    q = np.array([np.diag([0.5, 2.0])] * 2)
+    q_factor = np.linalg.cholesky(q)
+    q[1] = q_factor[1] = np.nan
+    prev, observation = _stack(cfg, [np.eye(2)] * 2, q, q_factor)
+    upd, failures = stacked_update(cfg, prev, observation)
+    assert list(failures) == [1]
+    assert isinstance(failures[1], FilterDivergenceError)
+    assert str(failures[1]) == "posterior precision is not positive definite"
+    _assert_member_0_as_alone(cfg, prev, observation, upd)

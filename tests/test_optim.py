@@ -352,7 +352,8 @@ def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
     # The one-trial entry point is the same engine.
     trace = run(obj, theta0[0], cfg, derive_stream(5, 1, 0))
     again = run_trials(obj, theta0[0], np.array([[rec.batch for rec in trace.records]]), cfg)
-    assert np.array_equal(trace.thetas(), again.thetas[0, 1:])
+    assert np.array_equal(np.array([rec.theta_after for rec in trace.records]),
+                          again.thetas[0, 1:])
 
 
 @pytest.mark.parametrize("filtered", [False, True])
