@@ -362,8 +362,10 @@ def run_paired_trials(cfg, workers=1):
         )
 
     keep = ~failed
-    unfiltered, filtered = unfiltered.select(keep), filtered.select(keep)
-    stats = AngularErrorStats.from_errors(ang_u[keep], ang_f[keep])
+    if failures:
+        unfiltered, filtered = unfiltered.select(keep), filtered.select(keep)
+        ang_u, ang_f, batches = ang_u[keep], ang_f[keep], batches[keep]
+    stats = AngularErrorStats.from_errors(ang_u, ang_f)
     rho = filtered.rho
 
     mean_rho = np.full(cfg.steps, np.nan)
@@ -398,7 +400,7 @@ def run_paired_trials(cfg, workers=1):
         stats=stats,
         curves=curves,
         trials=np.flatnonzero(keep),
-        batches=batches[keep],
+        batches=batches,
         unfiltered=unfiltered,
         filtered=filtered,
         failures=failures,

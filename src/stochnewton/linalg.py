@@ -13,6 +13,8 @@ stop a whole stack.
 
 Which kernel runs depends on d alone:
 
+- ``cholesky_lower`` factors elementwise over the stack at d = 2, with
+  LAPACK's bits, and calls LAPACK's Cholesky gufunc otherwise.
 - ``spd_solve`` solves m x = b. When d <= SUBSTITUTION_MAX_DIM it
   solves the two triangular systems of the Cholesky factor of m by
   elementwise forward and back substitution, one row at a time over the
@@ -102,16 +104,36 @@ def _as_square(m):
 
 
 def cholesky_lower(m):
-    """Lower Cholesky factors of ``m`` (..., d, d), known to be PD: no PD test."""
-    return _umath_linalg.cholesky_lo(m, signature="d->d")
+    """Lower Cholesky factors of ``m`` (..., d, d), known to be PD: no PD test.
+
+    At d = 2 the factor is formed elementwise over the stack, in the
+    order of LAPACK's unblocked factorization (l11 = sqrt(a11),
+    l21 = a21 * (1/l11), l22 = sqrt(a22 - l21^2)), which gives LAPACK's
+    bits for a PD member; LAPACK's gufunc otherwise. Only the lower
+    triangle is read. As with the gufunc, a member that is not PD raises
+    at most numpy's invalid-value flag.
+    """
+    if m.shape[-1] != 2:
+        return _umath_linalg.cholesky_lo(m, signature="d->d")
+    # A zero pivot divides by zero, and a member far from PD can
+    # overflow; such a member's factor is not meaningful.
+    with np.errstate(divide="ignore", over="ignore"):
+        l11 = np.sqrt(m[..., 0, 0])
+        l21 = m[..., 1, 0] * (1.0 / l11)
+        factor = np.zeros(m.shape)
+        factor[..., 0, 0] = l11
+        factor[..., 1, 0] = l21
+        factor[..., 1, 1] = np.sqrt(m[..., 1, 1] - l21 * l21)
+    return factor
 
 
 def cholesky_factors(m):
     """Lower Cholesky factors of ``m`` (d, d) or (..., d, d), and which are PD.
 
-    Returns ``(factors, ok)``. A member is PD when LAPACK completes and
-    every pivot (squared diagonal of its factor) exceeds
-    ``pd_tolerance``; the factor of any other member is not meaningful.
+    Returns ``(factors, ok)``. A member is PD when its factorization
+    (``cholesky_lower``) completes and every pivot (squared diagonal of
+    its factor) exceeds ``pd_tolerance``; the factor of any other member
+    is not meaningful.
     Never raises for a member that is not PD or not finite, but numpy
     flags its factorization as an invalid value: callers that expect
     such members run this under ``np.errstate(invalid="ignore")``.
@@ -124,8 +146,8 @@ def cholesky_factors(m):
 def try_cholesky(m):
     """Lower Cholesky factor of ``m``, or None if ``m`` is not PD.
 
-    A factorization counts as successful only if LAPACK completes and
-    every pivot (squared diagonal of the factor) exceeds
+    A factorization counts as successful only if ``cholesky_lower``
+    completes and every pivot (squared diagonal of the factor) exceeds
     ``pd_tolerance(m)``.
     """
     m = _as_square(m)

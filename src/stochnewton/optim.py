@@ -18,11 +18,13 @@ that fails leaves the stack at that step and the others carry on; no
 trial's numbers depend on which others share its stack. ``run`` is the
 one-trial case, and ``unfiltered_step``/``filtered_step`` are one step
 of it on a one-step trace; all three read their StepRecords from one
-run of the trace, which is the only place records are formed.
+run of the trace, which is the only place records are formed. ``run``
+forms a record only when its trace's ``records`` are read.
 """
 
 from dataclasses import dataclass, field, fields
-from typing import List, Optional
+from collections.abc import Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -87,9 +89,37 @@ class StepRecord:
 
 @dataclass
 class TrialTrace:
-    """Per-step records of one run."""
+    """Per-step records of one run.
 
-    records: List[StepRecord] = field(default_factory=list)
+    From ``run``, ``records`` is a read-only sequence over the run's
+    arrays that forms each StepRecord when it is read, with views of
+    those arrays: reading a record twice gives two equal records, not
+    the same object. It supports ``len``, indexing, slicing (to a list)
+    and iteration.
+    """
+
+    records: Sequence[StepRecord] = ()
+
+
+class _RunRecords(Sequence):
+    """The StepRecords of the first ``steps`` steps of a one-run view (``trace.select(0)``).
+
+    ``batches`` (steps, b) holds each step's batch as drawn, and
+    ``filtered`` says whether the run was filtered, so that every step
+    after the first was a filter update.
+    """
+
+    def __init__(self, view, batches, steps, filtered):
+        self._view, self._batches, self._steps, self._filtered = view, batches, steps, filtered
+
+    def __len__(self):
+        return self._steps
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[s] for s in range(*index.indices(self._steps))]
+        s = range(self._steps)[index]
+        return _record(self._view, s, s + 1, self._batches[s], self._filtered and s > 0)
 
 
 class StepError(RuntimeError):
@@ -139,7 +169,12 @@ class StackedTrace:
 
     @classmethod
     def concatenate(cls, traces):
-        """The runs of ``traces`` stacked one after another, in order."""
+        """The runs of ``traces`` stacked one after another, in order.
+
+        A single trace is returned as it is, not copied.
+        """
+        if len(traces) == 1:
+            return traces[0]
         errors, offset = {}, 0
         for trace in traces:
             errors.update((offset + i, err) for i, err in trace.errors.items())
@@ -179,8 +214,9 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
     skips the prior check of ``dkf_updates``. Returns (theta, belief,
     failures): the new iterates, the new belief, and a map from the
     position of each member that failed to the first error it met. The
-    line search uses the batch gradient f_t as its gradient argument in both variants, since the
-    searched function is the batch objective.
+    line search searches the batch objective in both variants: it starts
+    from the batch value and gradient f_t that the evaluation formed, and
+    evaluates the batch objective only at its candidates.
     """
     obs, failures = evaluate_batches(obj, theta, idx)
     newton = obs.newton_direction()
@@ -199,8 +235,8 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
         trace.fallback[rows, s] = upd.fallback_fired
         trace.sigma_lam_max[rows, s] = upd.sigma_lam_max
     lams, satisfied, search = line_search.armijo_search(
-        lambda points: batch_mean_values(obj, points, idx[:, None, :]), theta, direction, obs.f,
-        c=cfg.armijo_c,
+        lambda points: batch_mean_values(obj, points, idx[:, None, :]), obs.value, theta,
+        direction, obs.f, c=cfg.armijo_c,
     )
     for i, err in search.items():
         failures.setdefault(i, err)
@@ -316,18 +352,18 @@ def run(obj, theta0, cfg, rng):
     All batches are drawn up front, in step order, with one call that
     yields the same indices as one draw per step. Deterministic given
     (obj, theta0, cfg, stream state). On a failed step, raises StepError
-    carrying the partial trace accumulated so far. This is the one-trial
-    case of ``run_trials``.
+    carrying the partial trace of the steps before it. This is the
+    one-trial case of ``run_trials``: the returned trace keeps the run's
+    one-run StackedTrace and batches, and forms no StepRecord until one
+    is read.
     """
     batches = sample_batch(rng, obj.n, cfg.max_steps * cfg.batch_size).reshape(
         cfg.max_steps, cfg.batch_size)
     stacked = run_trials(obj, theta0, batches[None], cfg)
     failed = int(stacked.failed_step[0])
-    view = stacked.select(0)
-    trace = TrialTrace(records=[
-        _record(view, t - 1, t, batches[t - 1], cfg.filter is not None and t > 1)
-        for t in range(1, failed or cfg.max_steps + 1)
-    ])
+    trace = TrialTrace(records=_RunRecords(stacked.select(0), batches,
+                                           failed - 1 if failed else cfg.max_steps,
+                                           cfg.filter is not None))
     if failed:
         raise StepError(failed, trace) from stacked.errors[0]
     return trace

@@ -52,3 +52,18 @@ def finite_difference_hessian(grad_fn, theta, h=1e-5):
         dn[i] -= h
         hess[:, i] = (grad_fn(up) - grad_fn(dn)) / (2.0 * h)
     return 0.5 * (hess + hess.T)
+
+
+DECISIONS = ("step_lengths", "armijo_satisfied", "fallback", "ridge_eps", "failed_step")
+
+
+def assert_same_decisions(a, b):
+    """Require two StackedTraces to have taken the same discrete decisions.
+
+    The step lengths, Armijo outcomes, Q_t fallbacks, ridges and failed
+    steps must be identical; a drift in the continuous arrays that moves
+    none of these cannot change a verdict by itself.
+    """
+    for name in DECISIONS:
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), \
+            f"the runs differ in {name}"

@@ -20,6 +20,8 @@ from stochnewton.objectives import LeastSquaresData, LeastSquaresObjective, eval
 from stochnewton.optim import run
 from stochnewton.streams import BATCH_STREAM, DATA_STREAM, derive_stream
 
+from helpers import assert_same_decisions
+
 
 def small_config(**kwargs):
     defaults = dict(trials=25, steps=6, master_seed=123)
@@ -197,6 +199,8 @@ def test_worker_threads_do_not_change_results():
                           threaded.curves.unfiltered.mean_dist)
     assert np.array_equal(serial.curves.filtered.max_rho, threaded.curves.filtered.max_rho,
                           equal_nan=True)
+    assert_same_decisions(serial.unfiltered, threaded.unfiltered)
+    assert_same_decisions(serial.filtered, threaded.filtered)
 
 
 def _start_trials_at(monkeypatch, starts):

@@ -9,6 +9,8 @@ from stochnewton.linalg import (
     SUBSTITUTION_MAX_DIM,
     PositiveDefiniteError,
     cholesky,
+    cholesky_factors,
+    cholesky_lower,
     cholesky_solve,
     largest_eigenvalues,
     pd_tolerance,
@@ -232,6 +234,76 @@ def test_closed_form_largest_eigenvalue_matches_lapack():
     m = np.array([random_spd(rng, 2, 0.01, 10.0) for _ in range(200)]
                  + [np.eye(2), np.diag([3.0, 0.5]), np.diag([0.5, 3.0]), [[1.0, 1e-9], [1e-9, 1.0]]])
     assert_allclose(largest_eigenvalues(m), np.linalg.eigvalsh(m)[:, -1], rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 2x2 Cholesky factor
+# ---------------------------------------------------------------------------
+
+def _lapack_cholesky(m):
+    from numpy.linalg import _umath_linalg
+
+    return _umath_linalg.cholesky_lo(m, signature="d->d")
+
+
+def test_closed_form_2x2_cholesky_equals_lapack_bitwise():
+    rng = np.random.default_rng(31)
+    count = 20000
+    a = rng.standard_normal((count, 2, 2))
+    m = a @ a.mT + 1e-3 * np.eye(2)
+    # The same matrices with rows and columns scaled over eight orders
+    # of magnitude.
+    scale = 10.0 ** rng.uniform(-4.0, 4.0, size=(count, 2))
+    m = np.concatenate([
+        m, m * scale[:, :, None] * scale[:, None, :],
+        [np.eye(2), np.diag([1e-300, 1e300]), [[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]]],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cholesky_lower(m)
+    assert np.array_equal(got, _lapack_cholesky(m))
+    # The upper triangle is not read.
+    upper = m.copy()
+    upper[:, 0, 1] = np.nan
+    assert np.array_equal(cholesky_lower(upper), got)
+    # A member alone gets its bits in the stack.
+    for i in (0, count, len(m) - 1):
+        assert np.array_equal(cholesky_lower(m[i]), got[i])
+
+
+def test_closed_form_2x2_cholesky_flags_the_members_lapack_flags():
+    rng = np.random.default_rng(32)
+    pd = [random_spd(rng, 2, 0.01, 10.0) for _ in range(4)]
+    not_pd = [
+        -np.eye(2),
+        np.diag([0.0, 1.0]),                # zero first pivot
+        np.diag([-0.0, 1.0]),
+        np.diag([1.0, 0.0]),                # zero second pivot
+        [[1.0, 1.0], [1.0, 1.0]],           # singular: the second pivot rounds to 0
+        [[1.0, 2.0], [2.0, 1.0]],           # indefinite
+        np.diag([1e-300, 1.0]),             # a pivot below the tolerance
+        [[1e-300, 1e200], [1e200, 1.0]],    # far from PD: l21 overflows
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        np.diag([np.inf, 1.0]),
+        [[1.0, np.inf], [np.inf, 1.0]],
+    ]
+    m = np.array(pd + not_pd, dtype=float)
+    # As callers that expect members which are not PD do, only the
+    # invalid-value flag is silenced.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            factors, ok = cholesky_factors(m)
+        for member in not_pd:
+            if np.isfinite(member).all():
+                assert try_cholesky(member) is None
+    with np.errstate(all="ignore"):
+        lapack = _lapack_cholesky(m)
+    pivots = np.minimum.reduce(lapack.diagonal(0, -2, -1), axis=-1)
+    assert np.array_equal(ok, pivots * pivots > pd_tolerance(m))
+    assert ok.tolist() == [True] * len(pd) + [False] * len(not_pd)
+    assert np.array_equal(factors[ok], lapack[ok])
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,36 @@ def test_stacked_hessian_sums_equal_one_trial_sums_bitwise(d, size, count):
             assert np.array_equal(obj.batch_sums(thetas[k], idx[k])[2], stacked[k])
 
 
+@pytest.mark.parametrize("d, size, count", [(2, 5, 1000), (5, 20, 1), (5, 20, 30), (20, 100, 100)])
+def test_candidate_values_do_not_depend_on_the_stack(d, size, count):
+    # Five points share each batch, as the line search's candidates do:
+    # their predictors come from one matrix product per batch.
+    rng = np.random.default_rng(40 + d)
+    xs = rng.standard_normal((300, d))
+    objs = [
+        LeastSquaresObjective(LeastSquaresData(xs=xs, ys=xs @ np.ones(d))),
+        GlmObjective(GlmData(xs=xs, ys=(rng.random(300) < 0.5).astype(float),
+                             family=bernoulli_scalar_family())),
+    ]
+    points = rng.uniform(-1.0, 1.0, size=(count, 5, d))
+    idx = np.sort(rng.integers(0, 300, size=(count, 1, size)), axis=-1)
+    for obj in objs:
+        stacked = batch_mean_values(obj, points, idx)
+        assert stacked.shape == (count, 5)
+        one_at_a_time = np.array([[batch_mean_values(obj, p, idx[k, 0]) for p in points[k]]
+                                  for k in range(min(count, 30))])
+        for k in range(min(count, 30)):
+            assert np.array_equal(batch_mean_values(obj, points[k:k + 1], idx[k:k + 1])[0],
+                                  stacked[k])
+        if d <= 15:
+            # OpenBLAS adds the d products of a dot and of a matrix
+            # product in the same order up to d = 15.
+            assert np.array_equal(one_at_a_time, stacked[:30])
+        else:
+            assert_allclose(stacked[:30], one_at_a_time, rtol=4 * d * np.finfo(float).eps,
+                            atol=0.0)
+
+
 def test_bernoulli_mean_is_the_logistic_function():
     from scipy.special import expit
 

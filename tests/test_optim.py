@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,7 @@ from stochnewton.objectives import (
     evaluate_batch,
     sample_batch,
 )
+from stochnewton.line_search import _step_lengths, armijo_backtrack
 from stochnewton.linalg import cholesky_factors, solve_spd, sym
 from stochnewton.optim import (
     OptimizerConfig,
@@ -435,3 +438,165 @@ def test_ridge_eps_marks_exactly_the_batch_hessians_that_are_not_pd():
         assert not trace.failed_step.any()
         assert np.array_equal(trace.ridge_eps > 0, ~pd)
         assert (trace.ridge_eps >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the five-point search
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("case", range(3))
+def test_each_step_evaluates_the_origin_once_and_the_candidates_once(case, filtered):
+    # The line search starts from the batch value of the evaluation and
+    # calls the objective once, on the (T, 5, d) candidates.
+    obj, size = _engine_cases()[case]
+    count, steps = 4, 5
+    rng = np.random.default_rng(50 + case)
+    theta0 = rng.uniform(-1.0, 1.0, size=(count, obj.d))
+    batches = rng.integers(0, obj.n, size=(count, steps, size))
+    cfg = OptimizerConfig(batch_size=size, max_steps=steps,
+                          filter=FilterConfig(alpha=0.9, beta=0.2, dim=obj.d) if filtered else None)
+    calls = []
+    batch_sums = obj.batch_sums
+
+    def counted(theta, idx, derivatives=True):
+        calls.append((np.array(theta), derivatives))
+        return batch_sums(theta, idx, derivatives)
+
+    obj.batch_sums = counted
+    trace = run_trials(obj, theta0, batches, cfg)
+    assert not trace.failed_step.any()
+    assert [(theta.shape, derivatives) for theta, derivatives in calls] == \
+        [((count, obj.d), True), ((count, 5, obj.d), False)] * steps
+    lams = _step_lengths(4)
+    for s in range(steps):
+        assert np.array_equal(calls[2 * s][0], trace.thetas[:, s])
+        candidates = trace.thetas[:, s, None, :] + lams[:, None] * trace.directions[:, s, None, :]
+        assert np.array_equal(calls[2 * s + 1][0], candidates)
+
+
+@pytest.mark.parametrize("case", ["ls-d2", "glm-d5", "ls-d20"])
+def test_every_step_length_is_the_one_point_search(case):
+    # The stacked search reads the origin from the evaluation and forms
+    # the candidate predictors by matrix products; armijo_backtrack
+    # below evaluates the origin and every candidate one point at a
+    # time, with one dot per row. Both must take the same step lengths.
+    obj, size = {"ls-d2": _engine_cases()[0], "glm-d5": _engine_cases()[2],
+                 "ls-d20": _engine_cases()[1]}[case]
+    count, steps = 6, 10
+    rng = np.random.default_rng(60)
+    theta0 = rng.uniform(-1.0, 1.0, size=(count, obj.d))
+    batches = rng.integers(0, obj.n, size=(count, steps, size))
+    for filt in (None, FilterConfig(alpha=0.9, beta=0.2, dim=obj.d)):
+        cfg = OptimizerConfig(batch_size=size, max_steps=steps, filter=filt)
+        trace = run_trials(obj, theta0, batches, cfg)
+        assert not trace.failed_step.any()
+        expected = np.empty_like(trace.step_lengths)
+        for i in range(count):
+            for s in range(steps):
+                idx = np.sort(batches[i, s])
+                theta = trace.thetas[i, s]
+                expected[i, s] = armijo_backtrack(
+                    lambda points: np.array([batch_mean_values(obj, p, idx) for p in points]),
+                    theta, trace.directions[i, s], evaluate_batch(obj, theta, idx).f)
+        assert np.array_equal(trace.step_lengths, expected)
+
+
+# ---------------------------------------------------------------------------
+# records formed on read
+# ---------------------------------------------------------------------------
+
+RECORD_ARRAYS = ("theta_before", "theta_after", "direction", "newton_direction", "batch")
+
+
+def _assert_same_record(a, b):
+    assert (a.t, a.step_length, a.rho_m, a.fallback_fired) == \
+        (b.t, b.step_length, b.rho_m, b.fallback_fired)
+    for name in RECORD_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_run_records_are_the_engine_trace_bitwise(filtered):
+    rng = np.random.default_rng(70)
+    obj = make_ls(rng, d=3)
+    steps, size = 12, 5
+    cfg = OptimizerConfig(batch_size=size, max_steps=steps,
+                          filter=FilterConfig(alpha=0.9, beta=0.2, dim=obj.d) if filtered else None)
+    theta0 = np.array([1.0, -2.0, 0.5])
+    trace = run(obj, theta0, cfg, derive_stream(3, 1, 0))
+    batches = sample_batch(derive_stream(3, 1, 0), obj.n, steps * size).reshape(1, steps, size)
+    stacked = run_trials(obj, theta0, batches, cfg)
+    assert len(trace.records) == steps
+    for s, rec in enumerate(trace.records):
+        update = filtered and s > 0
+        assert rec.t == s + 1
+        assert rec.step_length == stacked.step_lengths[0, s]
+        assert rec.rho_m == (float(stacked.rho[0, s]) if update else None)
+        assert rec.fallback_fired == (bool(stacked.fallback[0, s]) if update else None)
+        for name, want in (("theta_before", stacked.thetas[0, s]),
+                           ("theta_after", stacked.thetas[0, s + 1]),
+                           ("direction", stacked.directions[0, s]),
+                           ("newton_direction", stacked.newton_directions[0, s]),
+                           ("batch", batches[0, s])):
+            assert np.array_equal(getattr(rec, name), want)
+
+
+def test_run_records_behave_as_a_list():
+    rng = np.random.default_rng(71)
+    obj = make_ls(rng)
+    cfg = OptimizerConfig(batch_size=5, max_steps=7,
+                          filter=FilterConfig(alpha=0.9, beta=0.2, dim=obj.d))
+    records = run(obj, np.array([1.5, -1.0]), cfg, derive_stream(1, 1, 0)).records
+    listed = list(records)
+    assert len(records) == len(listed) == 7
+    assert [rec.t for rec in records] == list(range(1, 8))
+    for index in range(-7, 7):
+        _assert_same_record(records[index], listed[index])
+    for index in (7, -8):
+        with pytest.raises(IndexError):
+            records[index]
+    with pytest.raises(TypeError):
+        records[1.0]
+    for part in (slice(2, 5), slice(None, None, -2), slice(-3, None), slice(5, 2), slice(0, 99)):
+        got = records[part]
+        assert isinstance(got, list) and len(got) == len(listed[part])
+        for a, b in zip(got, listed[part]):
+            _assert_same_record(a, b)
+    # Iterating twice reads the same records again.
+    for a, b in zip(records, listed):
+        _assert_same_record(a, b)
+    assert [rec.t for rec in reversed(records)] == list(range(7, 0, -1))
+
+
+def test_step_error_records_stop_before_the_failed_step():
+    obj = FailsAfter(trigger=0.93)
+    cfg = OptimizerConfig(batch_size=2, max_steps=5)
+    with pytest.raises(StepError) as excinfo:
+        run(obj, np.array([1.0]), cfg, derive_stream(0, 1, 0))
+    records = excinfo.value.partial_trace.records
+    assert [rec.t for rec in records] == [1, 2]
+    assert records[-1].t == excinfo.value.step - 1
+    with pytest.raises(IndexError):
+        records[2]
+
+
+def test_a_run_keeps_its_arrays_and_forms_no_records():
+    # A 300-step run at d = 5 keeps its one-run trace and batches (about
+    # 330 bytes a step); forming every StepRecord up front kept about
+    # 1,050 bytes a step.
+    obj, size = _engine_cases()[2]
+    steps = 300
+    cfg = OptimizerConfig(batch_size=size, max_steps=steps,
+                          filter=FilterConfig(alpha=0.9, beta=0.2, dim=obj.d))
+    theta0 = np.zeros(obj.d)
+    run(obj, theta0, cfg, derive_stream(0, 1, 0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(obj, theta0, cfg, derive_stream(0, 1, 1))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == steps
+    assert retained < 500 * steps
