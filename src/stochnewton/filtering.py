@@ -176,7 +176,8 @@ def momentum_matrix(cfg, sigma_prev):
     """
     sigma_prev = np.asarray(sigma_prev, dtype=float)
     r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * np.eye(sigma_prev.shape[0]))
-    m = cfg.alpha * spd_solve(r, sigma_prev, cholesky(r))
+    cholesky(r)
+    m = cfg.alpha * spd_solve(r, sigma_prev)
     return MomentumMatrix(m=m, rho=float(_momentum_norm(cfg, largest_eigenvalues(sigma_prev))))
 
 
@@ -211,7 +212,7 @@ def _updates(cfg, prev, obs):
     # R = alpha^2 Sigma + beta I is PD whenever Sigma is.
     r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * eye)
     eyes = eye[None]
-    q_inv = sym(spd_solve(obs.q, eyes, obs.q_factor))
+    q_inv = sym(spd_solve(obs.q, eyes))
     r_inv = sym(spd_solve(r, eyes))
 
     fallback = ~cholesky_factors(q_inv - s_inv)[1]
@@ -219,14 +220,14 @@ def _updates(cfg, prev, obs):
 
     # A sum of exactly symmetric matrices, so no sym() is needed.
     precision = q_inv_eff + r_inv - s_inv
-    factor, precision_pd = cholesky_factors(precision)
+    precision_pd = cholesky_factors(precision)[1]
     rhs = (q_inv_eff @ obs.f[..., None]) + cfg.alpha * (r_inv @ prev.mu[..., None])
     # Sigma_t and mu_t = Sigma_t rhs from one solve of the precision
     # against [I | rhs].
     columns = np.empty((*rhs.shape[:-1], cfg.dim + 1))
     columns[..., :-1] = eye
     columns[..., -1:] = rhs
-    x = spd_solve(precision, columns, factor)
+    x = spd_solve(precision, columns)
     sigma = sym(x[..., :-1])
     sigma_pd = cholesky_factors(sigma)[1]
 

@@ -18,7 +18,7 @@ Which kernel runs depends on d alone:
 - ``spd_solve`` solves m x = b. When d <= SUBSTITUTION_MAX_DIM it
   solves the two triangular systems of the Cholesky factor of m by
   elementwise forward and back substitution, one row at a time over the
-  whole stack, using the factor the caller already has or computing it.
+  whole stack, and forms that factor itself with ``cholesky_lower``.
   Above that it makes one call of LAPACK's LU solver gufunc on m
   itself, which costs about half of solving the two triangular systems
   of the factor with the same general solver. Substitution makes about
@@ -151,7 +151,8 @@ def try_cholesky(m):
     ``pd_tolerance(m)``.
     """
     m = _as_square(m)
-    with np.errstate(invalid="ignore"):
+    # A matrix far from PD can overflow its factorization.
+    with np.errstate(invalid="ignore", over="ignore"):
         factor, ok = cholesky_factors(m)
     return factor if ok else None
 
@@ -170,25 +171,21 @@ def cholesky(m):
     return c
 
 
-def spd_solve(m, b, factor=None):
-    """Solve m x = b for SPD ``m``, with its lower Cholesky factor if known.
+def spd_solve(m, b):
+    """Solve m x = b for SPD ``m``.
 
-    ``m`` is one matrix (d, d) or a stack (..., d, d), and ``factor``,
-    when given, its lower Cholesky factors. ``b`` holds one right-hand
-    side per matrix, (..., d), when it has one axis fewer than ``m``,
-    and columns of right-hand sides, (..., d, k), otherwise. When
-    d <= SUBSTITUTION_MAX_DIM the two triangular systems of the factor
-    are solved by substitution, and the factor is computed (without a
-    PD test) only when it is not given; above that ``m`` is solved by
-    one LU factorization and ``factor`` is not read. No input is
-    checked.
+    ``m`` is one matrix (d, d) or a stack (..., d, d). ``b`` holds one
+    right-hand side per matrix, (..., d), when it has one axis fewer
+    than ``m``, and columns of right-hand sides, (..., d, k), otherwise.
+    When d <= SUBSTITUTION_MAX_DIM the two triangular systems of the
+    Cholesky factor of ``m`` (``cholesky_lower``, without a PD test) are
+    solved by substitution; above that ``m`` is solved by one LU
+    factorization. No input is checked.
     """
     b = np.asarray(b, dtype=float)
     vector = b.ndim < m.ndim
     if m.shape[-1] <= SUBSTITUTION_MAX_DIM:
-        if factor is None:
-            factor = cholesky_lower(m)
-        x = _substitute(factor[..., None], b[..., None] if vector else b)
+        x = _substitute(cholesky_lower(m)[..., None], b[..., None] if vector else b)
         return x[..., 0] if vector else x
     solve = _umath_linalg.solve1 if vector else _umath_linalg.solve
     return solve(m, b, signature="dd->d")
@@ -200,7 +197,7 @@ def cholesky_solve(factor, b):
     ``factor`` is one factor (d, d) or a stack (..., d, d), and ``b`` as
     for ``spd_solve``, which gets m as factor @ factor^T.
     """
-    return spd_solve(factor @ factor.swapaxes(-1, -2), b, factor)
+    return spd_solve(factor @ factor.swapaxes(-1, -2), b)
 
 
 def _substitute(lower, b):
@@ -235,8 +232,9 @@ def solve_spd(m, b):
     b = np.asarray(b, dtype=float)
     if not np.isfinite(b.sum()):
         raise ValueError("right-hand side contains non-finite entries")
-    factor = cholesky(m)
-    return spd_solve(np.asarray(m, dtype=float), b, factor)
+    m = np.asarray(m, dtype=float)
+    cholesky(m)
+    return spd_solve(m, b)
 
 
 def largest_eigenvalues(m):

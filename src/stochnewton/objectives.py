@@ -43,8 +43,8 @@ regularized batch observation of a whole stack of trials at once;
 ``value_grad_hess`` the one-index case of ``batch_sums``.
 """
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -91,30 +91,26 @@ class BatchObservation:
     and batch-mean objective ``value`` for one mini-batch; the line
     search starts from ``value`` and ``f``.
 
-    ``q_factor`` is the lower Cholesky factor of ``q``, so that the
-    Newton solve and the filter reuse the factorization that certified
-    ``q`` as PD where ``spd_solve`` substitutes (small d). When it is
-    not given it is computed from ``q``, and a ``q`` that is not PD
-    raises PositiveDefiniteError. ``ridge_eps`` is
-    the eps of the eps*I that the ridge added to the batch-mean Hessian
-    to make ``q``, 0 where none was added. The observations of a stack
-    of trials (see ``evaluate_batches``) share one object whose fields
-    carry a leading trial axis.
+    ``ridge_eps`` is the eps of the eps*I that the ridge added to the
+    batch-mean Hessian to make ``q``, 0 where none was added. The
+    observations of a stack of trials (see ``evaluate_batches``) share
+    one object whose fields carry a leading trial axis. A single
+    observation (a ``q`` of shape (d, d)) that is not PD raises
+    PositiveDefiniteError when it is built; a stack is not checked.
     """
 
     f: np.ndarray
     q: np.ndarray
     value: float
-    q_factor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     ridge_eps: float = 0.0
 
     def __post_init__(self):
-        if self.q_factor is None:
-            object.__setattr__(self, "q_factor", cholesky(self.q))
+        if np.ndim(self.q) == 2:
+            cholesky(self.q)
 
     def newton_direction(self):
         """The batch Newton direction -q^-1 f."""
-        return -spd_solve(self.q, self.f, self.q_factor)
+        return -spd_solve(self.q, self.f)
 
 
 def sample_batch(rng, n, size):
@@ -263,14 +259,14 @@ def _regularize_hessians(q):
 
     ``q`` is a (T, d, d) stack, changed in place. Every finite member
     that is not PD gets eps*I added, with eps = 1e-8 * (1 + trace(q)/d),
-    doubling eps up to ten times before giving up. Returns (q, lower
-    Cholesky factors, PD mask, eps), where ``eps`` (T,) is the ridge
-    that made each member PD, 0 where none was added or none sufficed.
+    doubling eps up to ten times before giving up. Returns (q, PD mask,
+    eps), where ``eps`` (T,) is the ridge that made each member PD, 0
+    where none was added or none sufficed.
     """
-    factors, ok = cholesky_factors(q)
+    ok = cholesky_factors(q)[1]
     ridge = np.zeros(len(q))
     if ok.all():
-        return q, factors, ok, ridge
+        return q, ok, ridge
     need = np.flatnonzero(~ok & np.isfinite(q).all(axis=(-2, -1)))
     d = q.shape[-1]
     sub = q[need]
@@ -280,12 +276,12 @@ def _regularize_hessians(q):
         if not len(need):
             break
         trial = sub + eps[:, None, None] * eye
-        trial_factors, passed = cholesky_factors(trial)
+        passed = cholesky_factors(trial)[1]
         done = need[passed]
-        q[done], factors[done], ok[done] = trial[passed], trial_factors[passed], True
+        q[done], ok[done] = trial[passed], True
         ridge[done] = eps[passed]
         need, sub, eps = need[~passed], sub[~passed], 2.0 * eps[~passed]
-    return q, factors, ok, ridge
+    return q, ok, ridge
 
 
 def sorted_batch(obj, batch):
@@ -332,7 +328,7 @@ def evaluate_batches(obj, theta, idx):
     """
     value, f, q = obj.batch_sums(theta, idx)
     size = idx.shape[-1]
-    q, q_factor, pd, ridge_eps = _regularize_hessians(sym(q / size))
+    q, pd, ridge_eps = _regularize_hessians(sym(q / size))
     failures = {}
     # A non-finite Hessian never passes as PD, so the per-member masks
     # are formed only when a test on the whole stack fails.
@@ -344,8 +340,7 @@ def evaluate_batches(obj, theta, idx):
             failures[i] = PositiveDefiniteError(
                 "batch Hessian is not positive definite even after ridge regularization"
             )
-    return BatchObservation(f=f / size, q=q, value=value / size, q_factor=q_factor,
-                            ridge_eps=ridge_eps), failures
+    return BatchObservation(f=f / size, q=q, value=value / size, ridge_eps=ridge_eps), failures
 
 
 def evaluate_batch(obj, theta, batch):
@@ -470,7 +465,6 @@ class ExpFamily:
     grad_a: Callable
     hess_a: Callable
     sample: Callable
-    name: str = ""
 
 
 def gaussian_family(d=1):
@@ -483,7 +477,6 @@ def gaussian_family(d=1):
         grad_a=lambda theta: np.asarray(theta, dtype=float),
         hess_a=lambda theta: np.eye(d),
         sample=lambda rng, theta, size: theta + rng.standard_normal((size, d)),
-        name="gaussian",
     )
 
 
@@ -513,7 +506,6 @@ def bernoulli_family():
         sample=lambda rng, theta, size: (
             rng.random((size, 1)) < _logistic(theta[0])
         ).astype(float),
-        name="bernoulli",
     )
 
 
@@ -559,43 +551,34 @@ class ExpFamilyObjective(SubsampledObjective):
 
 @dataclass(frozen=True)
 class ScalarFamily:
-    """Scalar exponential-family component for canonical GLMs.
+    """Scalar exponential-family component for canonical GLMs, whose
+    sufficient statistic is the response itself.
 
-    ``t``, ``a``, ``a_prime`` act elementwise on arrays, and so does
+    ``a`` and ``a_prime`` act elementwise on arrays, and so does
     ``variance``, the variance function V of the canonical link: it
     takes the mean A'(eta) and returns A''(eta) = V(A'(eta)).
-    ``sample(rng, eta, size)`` draws responses at natural parameter eta.
     """
 
-    t: Callable
     a: Callable
     a_prime: Callable
     variance: Callable
-    sample: Callable
-    name: str = ""
 
 
 def gaussian_scalar_family():
     """Unit-variance Gaussian response; the canonical link is the identity."""
     return ScalarFamily(
-        t=lambda y: np.asarray(y, dtype=float),
         a=lambda eta: 0.5 * np.square(eta),
         a_prime=lambda eta: np.asarray(eta, dtype=float),
         variance=np.ones_like,
-        sample=lambda rng, eta, size: eta + rng.standard_normal(size),
-        name="gaussian",
     )
 
 
 def bernoulli_scalar_family():
     """Bernoulli response; the canonical link is the logit."""
     return ScalarFamily(
-        t=lambda y: np.asarray(y, dtype=float),
         a=lambda eta: np.logaddexp(0.0, eta),
         a_prime=_logistic,
         variance=_bernoulli_variance,
-        sample=lambda rng, eta, size: (rng.random(size) < _logistic(eta)).astype(float),
-        name="bernoulli",
     )
 
 
@@ -610,8 +593,8 @@ class GlmData(LeastSquaresData):
 class GlmObjective(SubsampledObjective):
     """Canonical GLM negative log-likelihood with eta_j = theta.x_j.
 
-    log g_j(theta) = A(eta_j) - eta_j T(y_j) up to the carrier term;
-    gradient x_j (A'(eta_j) - T(y_j)); Hessian (x_j x_j^T) A''(eta_j),
+    log g_j(theta) = A(eta_j) - eta_j y_j up to the carrier term;
+    gradient x_j (A'(eta_j) - y_j); Hessian (x_j x_j^T) A''(eta_j),
     so a batch Hessian is X_b^T diag(A''(eta)) X_b. The identity-link
     Gaussian case coincides with least squares.
     """
@@ -620,19 +603,18 @@ class GlmObjective(SubsampledObjective):
         self.data = data
         self.n = data.n
         self.d = data.d
-        self._t_ys = np.asarray(data.family.t(data.ys), dtype=float).ravel()
 
     def row_terms(self, theta, idx, derivatives=True):
         fam = self.data.family
         xs = self.data.xs[idx]
-        t_ys = self._t_ys[idx]
+        ys = self.data.ys[idx]
         eta = _predictors(xs, theta)
-        value = np.asarray(fam.a(eta), dtype=float) - eta * t_ys
+        value = np.asarray(fam.a(eta), dtype=float) - eta * ys
         if not derivatives:
             return (value,)
         mean = np.asarray(fam.a_prime(eta), dtype=float)
         var = np.asarray(fam.variance(mean), dtype=float)
-        return value, xs * (mean - t_ys)[..., None], _gram(xs, var)
+        return value, xs * (mean - ys)[..., None], _gram(xs, var)
 
 
 # ---------------------------------------------------------------------------

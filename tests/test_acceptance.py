@@ -67,6 +67,12 @@ def _report(number, name, passed, detail=""):
     return passed
 
 
+def _smallest_margin(margins):
+    """``margins`` maps seed -> margin; the smallest, with its seed, as report text."""
+    seed = min(margins, key=margins.get, default=None)
+    return "no winning seed" if seed is None else f"smallest margin {margins[seed]:.3f} at seed {seed}"
+
+
 def _seed_summary(seed):
     """Compact per-seed statistics for criteria 1-3."""
     result = run_paired_trials(ExperimentConfig(master_seed=seed))
@@ -107,10 +113,12 @@ def test_criterion_1_reference_mse_reproduction(seed_sweep):
     assert np.all(timed.stats.bias2_filtered[:5] <= 0.010)
 
     step1_equal = all(s["step1_equal"] for s in seed_sweep)
-    ordering_wins = sum(
-        all(f < u for f, u in zip(s["mse_filtered"][1:5], s["mse_unfiltered"][1:5]))
-        for s in seed_sweep
-    )
+    wins = [s for s in seed_sweep
+            if all(f < u for f, u in zip(s["mse_filtered"][1:5], s["mse_unfiltered"][1:5]))]
+    ordering_wins = len(wins)
+    # A winner's margin is its smallest relative gap (u - f) / u over steps 2-5.
+    margins = {s["seed"]: min((u - f) / u for f, u in zip(s["mse_filtered"][1:5], s["mse_unfiltered"][1:5]))
+               for s in wins}
     mean_unf = np.mean([s["mse_unfiltered"] for s in seed_sweep], axis=0)
     mean_fil = np.mean([s["mse_filtered"] for s in seed_sweep], axis=0)
     ratio_unf = mean_unf[1:5] / REFERENCE_MSE_UNFILTERED[1:5]
@@ -125,7 +133,8 @@ def test_criterion_1_reference_mse_reproduction(seed_sweep):
         f"step1 equal: {step1_equal}; filtered<unfiltered steps 2-5 in "
         f"{ordering_wins}/{len(seed_sweep)} seeds; band ratios unfiltered "
         f"{np.round(ratio_unf, 2).tolist()}, filtered {np.round(ratio_fil, 2).tolist()}; "
-        f"runtime {runtime:.1f}s",
+        f"runtime {runtime:.1f}s; "
+        + _smallest_margin(margins),
     )
     assert step1_equal, "step-1 MSEs differ between methods on some seed"
     assert ordering_wins >= need
@@ -137,8 +146,10 @@ def test_criterion_2_convergence_ordering(seed_sweep):
     wins = sum(s["median10_filtered"] < s["median10_unfiltered"] for s in seed_sweep)
     need = int(np.ceil(0.95 * len(seed_sweep)))
     passed = wins >= need
+    margins = {s["seed"]: (s["median10_unfiltered"] - s["median10_filtered"]) / s["median10_unfiltered"]
+               for s in seed_sweep if s["median10_filtered"] < s["median10_unfiltered"]}
     _report(2, "median distance at step 10, filtered below unfiltered", passed,
-            f"{wins}/{len(seed_sweep)} seeds")
+            f"{wins}/{len(seed_sweep)} seeds; {_smallest_margin(margins)}")
     assert passed
 
 
@@ -147,10 +158,16 @@ def test_criterion_3_rho_monitor(seed_sweep):
     need = int(np.ceil(0.95 * len(seed_sweep)))
     passed = clean >= need
     worst = max(seed_sweep, key=lambda s: s["max_rho_late"])
+    # The smallest margin is the clean seed whose late peak is closest to 0.8.
+    peaks = {s["seed"]: s["max_rho_late"] for s in seed_sweep if not s["rho_violations"]}
+    closest = max(peaks, key=peaks.get, default=None)
+    margin = ("no clean seed" if closest is None
+              else f"smallest margin at seed {closest}, peak {peaks[closest]:.6f}")
     _report(
         3, "max rho(M_t) < 0.8 for t > 5", passed,
         f"{clean}/{len(seed_sweep)} seeds clean; worst seed {worst['seed']} "
-        f"peak {worst['max_rho_late']:.4f} at steps {worst['rho_violations']}",
+        f"peak {worst['max_rho_late']:.4f} at steps {worst['rho_violations']}; "
+        + margin,
     )
     # The per-seed max-over-trials statistic straddles the 0.8 threshold
     # under these dynamics (the early steps inherit a large initial

@@ -379,8 +379,7 @@ def filter_stacks(draw, q_scale=(0.05, 5.0)):
     sigma = np.array([random_spd(rng, d, 0.1, 4.0) for _ in range(count)])
     q = np.array([random_spd(rng, d, *q_scale) for _ in range(count)])
     prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma)
-    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
-                                   q_factor=np.linalg.cholesky(q))
+    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count))
     return cfg, prev, observation
 
 
@@ -409,8 +408,7 @@ def test_stacked_update_equals_one_trial_updates_bitwise(stack):
     upd, _ = stacked_update(cfg, prev, observation)
     for i in range(len(prev.mu)):
         member = (GaussianBelief(mu=prev.mu[i], sigma=prev.sigma[i]),
-                  BatchObservation(f=observation.f[i], q=observation.q[i], value=0.0,
-                                   q_factor=observation.q_factor[i]))
+                  BatchObservation(f=observation.f[i], q=observation.q[i], value=0.0))
         one = dkf_update_info(cfg, *member)
         alone, _ = stacked_update(cfg, *map(stack_of_one, member))
         assert np.array_equal(alone.direction[0], upd.direction[i])
@@ -427,8 +425,7 @@ def test_stacked_stationary_prior_returns_q(stack):
     # the posterior covariance is Q itself whenever Q < S (no fallback).
     cfg, prev, observation = stack
     s = cfg.s_scalar
-    observation = BatchObservation(f=observation.f, q=s * observation.q / 5.0, value=observation.value,
-                                   q_factor=np.linalg.cholesky(s * observation.q / 5.0))
+    observation = BatchObservation(f=observation.f, q=s * observation.q / 5.0, value=observation.value)
     stationary = s * np.broadcast_to(np.eye(cfg.dim), prev.sigma.shape)
     prev = GaussianBelief(mu=prev.mu, sigma=stationary)
     upd, failures = stacked_update(cfg, prev, observation)
@@ -459,8 +456,7 @@ def test_stacked_rho_equals_the_norm_of_the_formed_momentum_matrix(d):
     sigma = np.array([random_spd(rng, d, 0.02, 5.0) for _ in range(count)])
     q = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
     prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=sigma)
-    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
-                                   q_factor=np.linalg.cholesky(q))
+    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count))
     upd, failures = stacked_update(cfg, prev, observation)
     assert not failures
     expected = [spectral_norm(momentum_matrix(cfg, s).m) for s in sigma]
@@ -474,20 +470,18 @@ def test_stacked_rho_equals_the_norm_of_the_formed_momentum_matrix(d):
                     rtol=1e-12, atol=0)
 
 
-def _stack(cfg, sigmas, q, q_factor):
+def _stack(cfg, sigmas, q):
     """Priors with covariances ``sigmas`` and observations Q = ``q``, (count, d, d) each."""
     rng = np.random.default_rng(11)
     count, d = len(sigmas), cfg.dim
     prev = GaussianBelief(mu=rng.standard_normal((count, d)), sigma=np.array(sigmas))
-    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count),
-                                   q_factor=q_factor)
+    observation = BatchObservation(f=rng.standard_normal((count, d)), q=q, value=np.zeros(count))
     return prev, observation
 
 
 def _assert_member_0_as_alone(cfg, prev, observation, upd):
     member = [GaussianBelief(mu=prev.mu[:1], sigma=prev.sigma[:1]),
-              BatchObservation(f=observation.f[:1], q=observation.q[:1], value=np.zeros(1),
-                               q_factor=observation.q_factor[:1])]
+              BatchObservation(f=observation.f[:1], q=observation.q[:1], value=np.zeros(1))]
     alone, failures = stacked_update(cfg, *member)
     assert not failures
     assert np.array_equal(alone.direction[0], upd.direction[0])
@@ -500,8 +494,7 @@ def test_stacked_update_reports_priors_that_are_not_pd():
     # one-trial ones do, and reports the same error type per member.
     cfg = FilterConfig(alpha=0.9, beta=0.2, dim=2)
     q = np.array([np.eye(2)] * 3)
-    prev, observation = _stack(cfg, [np.eye(2), -0.1 * np.eye(2), np.diag([1.0, 0.0])],
-                               q, np.linalg.cholesky(q))
+    prev, observation = _stack(cfg, [np.eye(2), -0.1 * np.eye(2), np.diag([1.0, 0.0])], q)
     upd, failures = stacked_update(cfg, prev, observation)
     assert sorted(failures) == [1, 2]
     assert all(type(err) is PositiveDefiniteError for err in failures.values())
@@ -511,11 +504,22 @@ def test_stacked_update_reports_priors_that_are_not_pd():
 def test_stacked_update_reports_a_divergent_member():
     cfg = FilterConfig(alpha=0.9, beta=0.2, dim=2)
     q = np.array([np.diag([0.5, 2.0])] * 2)
-    q_factor = np.linalg.cholesky(q)
-    q[1] = q_factor[1] = np.nan
-    prev, observation = _stack(cfg, [np.eye(2)] * 2, q, q_factor)
+    q[1] = np.nan
+    prev, observation = _stack(cfg, [np.eye(2)] * 2, q)
     upd, failures = stacked_update(cfg, prev, observation)
     assert list(failures) == [1]
     assert isinstance(failures[1], FilterDivergenceError)
     assert str(failures[1]) == "posterior precision is not positive definite"
+    _assert_member_0_as_alone(cfg, prev, observation, upd)
+
+
+def test_stacked_update_reports_an_indefinite_observation():
+    # A stacked observation is not checked when it is built; the filter
+    # reports the member whose Q is not PD and updates the others.
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=2)
+    q = np.array([np.diag([0.5, 2.0]), np.diag([1.0, -1.0])])
+    prev, observation = _stack(cfg, [np.eye(2)] * 2, q)
+    upd, failures = stacked_update(cfg, prev, observation)
+    assert list(failures) == [1]
+    assert isinstance(failures[1], FilterDivergenceError)
     _assert_member_0_as_alone(cfg, prev, observation, upd)

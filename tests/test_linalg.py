@@ -40,6 +40,17 @@ def test_cholesky_rejects_indefinite():
         cholesky(m)
 
 
+def test_cholesky_rejects_a_finite_matrix_far_from_pd_without_a_warning():
+    # The factorization of this matrix overflows at d >= 3; the error
+    # filter turns any floating-point warning into a failure.
+    m = np.array([[1e-300, 1e200, 0.0], [1e200, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert try_cholesky(m) is None
+    with pytest.raises(PositiveDefiniteError):
+        cholesky(m)
+    with pytest.raises(PositiveDefiniteError):
+        solve_spd(m, np.ones(3))
+
+
 def test_cholesky_reconstructs_random_spd():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -191,6 +202,7 @@ def test_substitution_agrees_with_lapack_solve(d, kind):
 @pytest.mark.parametrize("kind", ["vector", "matrix", "identity"])
 @pytest.mark.parametrize("d", [1, 2, SUBSTITUTION_MAX_DIM, SUBSTITUTION_MAX_DIM + 1, 20])
 def test_spd_solve_agrees_with_lapack_solve(d, kind, given_factor):
+    # Given its factor, m is solved through cholesky_solve.
     rng = np.random.default_rng(100 + d)
     count = 50
     m = np.array([random_spd(rng, d, 0.05, 5.0) for _ in range(count)])
@@ -198,14 +210,13 @@ def test_spd_solve_agrees_with_lapack_solve(d, kind, given_factor):
     with warnings.catch_warnings():
         # No kernel may flag an invalid value on PD input.
         warnings.simplefilter("error", RuntimeWarning)
-        x = spd_solve(m, b, np.linalg.cholesky(m) if given_factor else None)
+        x = cholesky_solve(np.linalg.cholesky(m), b) if given_factor else spd_solve(m, b)
     _assert_agrees_with_lapack_solve(m, b, x)
 
 
 _SOLVES = {
     "cholesky_solve": lambda m, factor, b: cholesky_solve(factor, b),
     "spd_solve": lambda m, factor, b: spd_solve(m, b),
-    "spd_solve, factor given": lambda m, factor, b: spd_solve(m, b, factor),
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stochnewton.linalg import PositiveDefiniteError, cholesky, solve_spd, sym
+from stochnewton.linalg import PositiveDefiniteError, solve_spd, sym
 from stochnewton.objectives import (
     BatchObservation,
     ExpFamily,
@@ -302,16 +302,16 @@ def test_objective_without_a_kernel_is_not_implemented():
 
 
 def test_observation_carries_the_cholesky_factor_of_q():
+    # A single observation is PD-checked when it is built, and its
+    # Newton direction is the checked solve of q.
     rng = np.random.default_rng(11)
     obj = make_ls_objective(rng)
     theta = rng.standard_normal(obj.d)
     # One sample gives a rank-one Hessian, which takes the ridge path.
-    for batch in ([3], [0, 5, 5, 9, 17, 30]):
+    for batch, ridged in (([3], True), ([0, 5, 5, 9, 17, 30], False)):
         obs = evaluate_batch(obj, theta, batch)
-        assert np.array_equal(obs.q_factor, cholesky(obs.q))
-    given = BatchObservation(f=obs.f, q=obs.q, value=obs.value)
-    assert np.array_equal(given.q_factor, obs.q_factor)
-    assert np.array_equal(given.newton_direction(), -solve_spd(obs.q, obs.f))
+        assert (obs.ridge_eps > 0.0) == ridged
+        assert np.array_equal(obs.newton_direction(), -solve_spd(obs.q, obs.f))
     with pytest.raises(PositiveDefiniteError):
         BatchObservation(f=np.zeros(2), q=np.diag([1.0, -1.0]), value=0.0)
 
@@ -440,7 +440,6 @@ def test_fisher_check_degenerate_family():
         grad_a=lambda theta: np.ones(1),
         hess_a=lambda theta: np.zeros((1, 1)),
         sample=lambda rng, theta, size: np.zeros((size, 1)),
-        name="degenerate",
     )
     report = fisher_identity_check(fam, np.zeros(1), 10 ** 4, np.random.default_rng(0))
     assert report.sample_variance[0, 0] == 0.0
