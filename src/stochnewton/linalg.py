@@ -11,25 +11,20 @@ stack-of-one case of the same code. ``cholesky_factors`` never raises:
 it reports which members are PD, so that one non-PD member does not
 stop a whole stack.
 
-Which kernel runs depends on d alone:
+Three kernels choose how to compute by one rule, on d alone: a closed
+form, elementwise over the stack, at d = 2, and one LAPACK gufunc call
+at every other d.
 
-- ``cholesky_lower`` factors elementwise over the stack at d = 2, with
-  LAPACK's bits, and calls LAPACK's Cholesky gufunc otherwise.
-- ``spd_solve`` solves m x = b. When d <= SUBSTITUTION_MAX_DIM it
-  solves the two triangular systems of the Cholesky factor of m by
-  elementwise forward and back substitution, one row at a time over the
-  whole stack, and forms that factor itself with ``cholesky_lower``.
-  Above that it makes one call of LAPACK's LU solver gufunc on m
-  itself, which costs about half of solving the two triangular systems
-  of the factor with the same general solver. Substitution makes about
-  d^2 numpy calls however large the stack is, where LAPACK pays a fixed
-  cost per member, so substitution is several times faster on stacks of
-  a hundred or more small matrices and several times slower on a single
-  one. Every solve in the library goes through it.
+- ``cholesky_lower`` factors at d = 2 in LAPACK's operation order, and
+  so with LAPACK's bits, and calls LAPACK's Cholesky gufunc otherwise.
+- ``spd_solve`` solves m x = b. At d = 2 it substitutes through the
+  Cholesky factor of m (``cholesky_lower``), one row at a time over the
+  whole stack; otherwise it makes one call of LAPACK's LU solver gufunc
+  on m itself. Every solve in the library goes through it.
 - ``largest_eigenvalues`` uses the closed form at d = 2 and LAPACK's
   symmetric eigenvalue gufunc otherwise.
 
-The choice is never made by the stack size: either kernel rounds
+The choice is never made by the stack size: the two kernels round
 differently, so a trial must meet the same kernel alone as in a stack
 to get the same bits.
 
@@ -38,8 +33,6 @@ Positive definiteness is decided by a scale-aware pivot threshold, see
 arithmetic should be passed through ``sym`` so that covariances stay
 exactly symmetric over long filter recursions.
 """
-
-import math
 
 import numpy as np
 # The gufuncs behind np.linalg.cholesky/solve/svd/eigvalsh. Called
@@ -62,15 +55,6 @@ __all__ = [
     "largest_eigenvalues",
     "spectral_norm",
 ]
-
-# Largest d at which spd_solve substitutes through the Cholesky factor
-# instead of making one LU solve of the matrix. Chosen from timings at
-# stack sizes 1, 100 and 1000 with one BLAS thread: substitution is
-# faster on stacks of 1000 up to d = 6, on stacks of 100 only for
-# identity right-hand sides up to d = 5, and 6 to 36 times slower on a
-# single matrix at every d. Single runs at d = 5 and above make tens of
-# thousands of one-matrix solves, so those dimensions stay on LAPACK.
-SUBSTITUTION_MAX_DIM = 4
 
 
 class PositiveDefiniteError(np.linalg.LinAlgError):
@@ -96,9 +80,7 @@ def _as_square(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    # A finite sum certifies that every entry is finite (inf or nan
-    # anywhere propagates into the total).
-    if not math.isfinite(np.add.reduce(m, axis=None)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -177,18 +159,23 @@ def spd_solve(m, b):
     ``m`` is one matrix (d, d) or a stack (..., d, d). ``b`` holds one
     right-hand side per matrix, (..., d), when it has one axis fewer
     than ``m``, and columns of right-hand sides, (..., d, k), otherwise.
-    When d <= SUBSTITUTION_MAX_DIM the two triangular systems of the
-    Cholesky factor of ``m`` (``cholesky_lower``, without a PD test) are
-    solved by substitution; above that ``m`` is solved by one LU
-    factorization. No input is checked.
+    At d = 2 the two triangular systems of the Cholesky factor of ``m``
+    (``cholesky_lower``, without a PD test) are solved by substitution,
+    elementwise over the stack and the columns; at every other d ``m``
+    is solved by one LU factorization. No input is checked.
     """
     b = np.asarray(b, dtype=float)
     vector = b.ndim < m.ndim
-    if m.shape[-1] <= SUBSTITUTION_MAX_DIM:
-        x = _substitute(cholesky_lower(m)[..., None], b[..., None] if vector else b)
-        return x[..., 0] if vector else x
-    solve = _umath_linalg.solve1 if vector else _umath_linalg.solve
-    return solve(m, b, signature="dd->d")
+    if m.shape[-1] != 2:
+        solve = _umath_linalg.solve1 if vector else _umath_linalg.solve
+        return solve(m, b, signature="dd->d")
+    lower = cholesky_lower(m)[..., None]
+    l11, l21, l22 = lower[..., 0, 0, :], lower[..., 1, 0, :], lower[..., 1, 1, :]
+    rhs = b[..., None] if vector else b
+    y1 = rhs[..., 0, :] / l11
+    x2 = (rhs[..., 1, :] - l21 * y1) / l22 / l22
+    x = np.stack([(y1 - l21 * x2) / l11, x2], axis=-2)
+    return x[..., 0] if vector else x
 
 
 def cholesky_solve(factor, b):
@@ -200,29 +187,6 @@ def cholesky_solve(factor, b):
     return spd_solve(factor @ factor.swapaxes(-1, -2), b)
 
 
-def _substitute(lower, b):
-    """Solve L L^T x = b row by row; ``lower`` is L with a trailing unit axis.
-
-    Every operation is elementwise over the stack and the columns of
-    ``b`` (..., d, k), so each member's arithmetic is the same at any
-    stack size.
-    """
-    d = lower.shape[-2]
-    y = []
-    for i in range(d):
-        acc = b[..., i, :]
-        for j in range(i):
-            acc = acc - lower[..., i, j, :] * y[j]
-        y.append(acc / lower[..., i, i, :])
-    x = [None] * d
-    for i in range(d - 1, -1, -1):
-        acc = y[i]
-        for j in range(i + 1, d):
-            acc = acc - lower[..., j, i, :] * x[j]
-        x[i] = acc / lower[..., i, i, :]
-    return np.stack(x, axis=-2)
-
-
 def solve_spd(m, b):
     """Solve m x = b for one SPD matrix ``m`` with ``spd_solve``.
 
@@ -230,7 +194,7 @@ def solve_spd(m, b):
     ValueError on non-finite input.
     """
     b = np.asarray(b, dtype=float)
-    if not np.isfinite(b.sum()):
+    if not np.isfinite(b).all():
         raise ValueError("right-hand side contains non-finite entries")
     m = np.asarray(m, dtype=float)
     cholesky(m)

@@ -82,7 +82,6 @@ class NumericalError(RuntimeError):
         if theta is not None:
             message = f"{message} at theta={np.asarray(theta)!r}"
         super().__init__(message)
-        self.theta = None if theta is None else np.array(theta)
 
 
 @dataclass(frozen=True)
