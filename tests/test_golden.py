@@ -1,9 +1,11 @@
 """Golden outputs: the benchmark's results must not move unnoticed.
 
 ``tests/golden/`` holds the two CSVs of ``run-paired`` at the
-``paired-d2`` settings (n 100, d 2, batch 5, 1000 trials) and at the
-``paired-wide`` settings (n 2000, d 20, batch 100, 100 trials), at
-seeds 0 and 4242, and ``digests.json`` with:
+``paired-d2`` settings (n 100, d 2, batch 5, 1000 trials), at the
+``paired-wide`` settings (n 2000, d 20, batch 100, 100 trials) and at
+the ``ridge-d2`` settings (n 20, d 2, batch 2, 200 trials, where the
+ridge fires on a few hundred steps of each method), at seeds 0 and
+4242, and ``digests.json`` with:
 
 - a SHA-256 of each run's decision arrays (``decision_digest``);
 - the record digest of the first four ``logistic-long`` trials at
@@ -38,6 +40,7 @@ RTOL = 1e-12
 PAIRED = {
     "paired-d2": dict(n=100, d=2, batch_size=5, trials=1000),
     "paired-wide": dict(n=2000, d=20, batch_size=100, trials=100),
+    "ridge-d2": dict(n=20, d=2, batch_size=2, trials=200),
 }
 SEEDS = (0, 4242)
 CASES = [f"{name}-seed{seed}" for name in PAIRED for seed in SEEDS]
