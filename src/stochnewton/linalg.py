@@ -71,9 +71,25 @@ def pd_tolerance(m):
 
     Unit-scale matrices get an effectively absolute 1e-12 threshold;
     larger scales get proportionally looser ones. For a stack, one
-    threshold per member.
+    threshold per member. A finite ``m`` gets a finite threshold, even
+    where its trace overflows.
     """
-    return 1e-12 * (1.0 + m.trace(0, -2, -1) / m.shape[-1])
+    with np.errstate(over="ignore"):
+        return _pd_tolerance(m, m.trace(0, -2, -1))
+
+
+def _pd_tolerance(m, trace):
+    """``pd_tolerance(m)`` from the trace of ``m``.
+
+    Where the trace overflows, the threshold is formed as
+    1e-12 + sum_i m_ii * (1e-12/d), which stays finite for a finite
+    ``m``; every other member keeps the bits of the formula.
+    """
+    tol = 1e-12 * (1.0 + trace / m.shape[-1])
+    if np.isinf(tol).any():
+        scaled = 1e-12 + (m.diagonal(0, -2, -1) * (1e-12 / m.shape[-1])).sum(axis=-1)
+        tol = np.where(np.isinf(trace), scaled, tol)
+    return tol
 
 
 def _as_square(m):
@@ -97,15 +113,26 @@ def cholesky_lower(m):
     """
     if m.shape[-1] != 2:
         return _umath_linalg.cholesky_lo(m, signature="d->d")
+    return _factor_2x2(m.shape, *_entries_2x2(m))
+
+
+def _entries_2x2(m):
+    """The entries (l11, l21, l22) of ``cholesky_lower`` of a stack (..., 2, 2)."""
     # A zero pivot divides by zero, and a member far from PD can
     # overflow; such a member's factor is not meaningful.
     with np.errstate(divide="ignore", over="ignore"):
         l11 = np.sqrt(m[..., 0, 0])
         l21 = m[..., 1, 0] * (1.0 / l11)
-        factor = np.zeros(m.shape)
-        factor[..., 0, 0] = l11
-        factor[..., 1, 0] = l21
-        factor[..., 1, 1] = np.sqrt(m[..., 1, 1] - l21 * l21)
+        l22 = np.sqrt(m[..., 1, 1] - l21 * l21)
+    return l11, l21, l22
+
+
+def _factor_2x2(shape, l11, l21, l22):
+    """The lower-triangular stack of ``shape`` (..., 2, 2) with entries l11, l21, l22."""
+    factor = np.zeros(shape)
+    factor[..., 0, 0] = l11
+    factor[..., 1, 0] = l21
+    factor[..., 1, 1] = l22
     return factor
 
 
@@ -115,14 +142,21 @@ def cholesky_factors(m):
     Returns ``(factors, ok)``. A member is PD when its factorization
     (``cholesky_lower``) completes and every pivot (squared diagonal of
     its factor) exceeds ``pd_tolerance``; the factor of any other member
-    is not meaningful.
+    is not meaningful. At d = 2 the pivots and the trace are taken from
+    the closed-form entries, elementwise over the stack, with the bits
+    of the general form.
     Never raises for a member that is not PD or not finite, but numpy
     flags its factorization as an invalid value: callers that expect
     such members run this under ``np.errstate(invalid="ignore")``.
     """
-    factors = cholesky_lower(m)
-    piv = np.minimum.reduce(factors.diagonal(0, -2, -1), axis=-1)
-    return factors, piv * piv > pd_tolerance(m)
+    if m.shape[-1] != 2:
+        factors = cholesky_lower(m)
+        piv = np.minimum.reduce(factors.diagonal(0, -2, -1), axis=-1)
+        return factors, piv * piv > _pd_tolerance(m, m.trace(0, -2, -1))
+    l11, l21, l22 = _entries_2x2(m)
+    piv = np.minimum(l11, l22)
+    ok = piv * piv > _pd_tolerance(m, m[..., 0, 0] + m[..., 1, 1])
+    return _factor_2x2(m.shape, l11, l21, l22), ok
 
 
 def try_cholesky(m):

@@ -3,8 +3,10 @@
 An objective is an average (1/n) * sum_j log g_j(theta) of per-sample
 log-convex losses. Optimizers only ever see batch means of the
 per-sample value, gradient, and Hessian, packaged as a
-``BatchObservation``, and batch-mean values along a line search. Three
-families are built in:
+``BatchObservation``, and the decreases of the batch mean along a line
+search (``step_decreases``): by default from batch-mean values at the
+candidates, and for least squares, whose batch objective is exactly
+quadratic, from the observation alone. Three families are built in:
 
 * least squares (Gaussian linear regression negative log-likelihood),
 * natural-parameter exponential-family maximum likelihood,
@@ -15,12 +17,12 @@ broadcastable stack of (theta, batch) pairs it returns the per-sample
 values and gradients of the batch as rows, and the sum of the
 per-sample Hessians over the batch. The linear models (least squares
 and GLMs) start from the linear predictors x_j . theta, one dot per
-(point, row); where several points share one batch, as the line
-search's candidates do, the predictors come from one matrix product
+(point, row); where several points share one batch, as a GLM's
+line-search candidates do, the predictors come from one matrix product
 X_b Theta^T per batch instead (``_predictors``). The product equals the
 dots bit for bit only where BLAS adds the d products in the same order:
-on OpenBLAS 0.3.31 for d <= 15, while at d = 20 about 37% of the
-candidate values of a run are bit-equal. ``SubsampledObjective.batch_sums``
+on OpenBLAS 0.3.31 for d <= 15; at d = 20 they can differ in the last
+bits. ``SubsampledObjective.batch_sums``
 turns the rows into batch sums under a rule with two parts:
 
 * Values and gradients are added up in ascending index order with a
@@ -239,6 +241,21 @@ class SubsampledObjective:
             sums.append(hess)
         return tuple(sums)
 
+    def step_decreases(self, theta, idx, obs, v, lams):
+        """Decreases h(theta + lam*v) - h(theta) of the batch objective h along a line.
+
+        ``theta`` and ``v`` are (T, d) stacks, ``idx`` (T, b) the
+        ascending batches, ``obs`` their observation at ``theta`` (as
+        from ``evaluate_batches``) and ``lams`` (k,) the step lengths.
+        Returns the (T, k) decreases, row t on trial t's batch. Here every
+        candidate theta + lam*v is evaluated with ``batch_mean_values``
+        and ``obs.value`` subtracted; a subclass whose h has a closed form
+        along a line may form them without evaluating any candidate.
+        Non-finite decreases are returned as they are.
+        """
+        points = theta[:, None, :] + lams[:, None] * v[:, None, :]
+        return batch_mean_values(self, points, idx[:, None, :]) - obs.value[:, None]
+
     def value_grad_hess(self, theta, j):
         """Per-sample (log g_j(theta), gradient, Hessian): the one-index case of ``batch_sums``."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -425,6 +442,8 @@ class LeastSquaresObjective(SubsampledObjective):
 
     Gradient x_j r_j with r_j = theta.x_j - y_j; Hessian x_j x_j^T,
     which does not depend on theta, so a batch Hessian is X_b^T X_b.
+    The batch objective is therefore exactly quadratic, and
+    ``step_decreases`` needs no evaluation.
     """
 
     def __init__(self, data):
@@ -439,6 +458,18 @@ class LeastSquaresObjective(SubsampledObjective):
         if not derivatives:
             return (value,)
         return value, xs * r[..., None], _gram(xs)
+
+    def step_decreases(self, theta, idx, obs, v, lams):
+        """Decreases lam * (<v, f> + lam/2 * v^T Q v) of the quadratic batch objective.
+
+        f is the batch-mean gradient ``obs.f`` and Q the batch-mean
+        Hessian before the ridge, ``obs.q`` less ``obs.ridge_eps`` * I:
+        the ridge is not part of h. This equals h(theta + lam*v) - h(theta)
+        in exact arithmetic; no candidate is evaluated.
+        """
+        slope = np.vecdot(v, obs.f)
+        curvature = np.vecdot(v, np.matvec(obs.q, v)) - obs.ridge_eps * np.vecdot(v, v)
+        return lams * (slope[:, None] + (0.5 * lams) * curvature[:, None])
 
 
 # ---------------------------------------------------------------------------

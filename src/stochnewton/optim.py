@@ -31,8 +31,7 @@ import numpy as np
 from . import line_search
 from .filtering import FilterConfig, _updates, init_belief
 from .linalg import cholesky
-from .objectives import (_members, _one_trial, batch_mean_values, evaluate_batches, sample_batch,
-                         sorted_batch)
+from .objectives import _members, _one_trial, evaluate_batches, sample_batch, sorted_batch
 
 __all__ = [
     "OptimizerConfig",
@@ -214,9 +213,10 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
     skips the prior check of ``dkf_updates``. Returns (theta, belief,
     failures): the new iterates, the new belief, and a map from the
     position of each member that failed to the first error it met. The
-    line search searches the batch objective in both variants: it starts
-    from the batch value and gradient f_t that the evaluation formed, and
-    evaluates the batch objective only at its candidates.
+    line search searches the batch objective in both variants, on the
+    decreases that the objective forms from the evaluation
+    (``step_decreases``): a GLM evaluates the batch objective at the
+    candidates only, and least squares at no point at all.
     """
     obs, failures = evaluate_batches(obj, theta, idx)
     newton = obs.newton_direction()
@@ -235,8 +235,8 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
         trace.fallback[rows, s] = upd.fallback_fired
         trace.sigma_lam_max[rows, s] = upd.sigma_lam_max
     lams, satisfied, search = line_search.armijo_search(
-        lambda points: batch_mean_values(obj, points, idx[:, None, :]), obs.value, theta,
-        direction, obs.f, c=cfg.armijo_c,
+        lambda lams: obj.step_decreases(theta, idx, obs, direction, lams), theta, direction,
+        obs.f, c=cfg.armijo_c,
     )
     for i, err in search.items():
         failures.setdefault(i, err)

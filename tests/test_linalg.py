@@ -50,6 +50,24 @@ def test_cholesky_rejects_a_finite_matrix_far_from_pd_without_a_warning():
         solve_spd(m, np.ones(3))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_finite_pd_matrix_whose_trace_overflows_is_pd(d):
+    # The trace of this matrix is inf; 1e-12 times its mean is 1e296.
+    # The error filter turns any floating-point warning into a failure.
+    m = np.diag([1e308] * d)
+    assert try_cholesky(m) is not None
+    assert_allclose(cholesky(m), np.diag([1e154] * d))
+    assert_allclose(solve_spd(m, np.full(d, 1e308)), np.ones(d))
+    assert pd_tolerance(m) == pytest.approx(1e296)
+    # In a stack, every member whose trace is finite keeps the formula's bits.
+    stack = np.array([np.eye(d), m, 3.0 * np.eye(d), np.diag([np.finfo(float).max] * d)])
+    tol = pd_tolerance(stack)
+    assert np.isfinite(tol).all()
+    assert np.array_equal(tol[[0, 2]], 1e-12 * (1.0 + np.trace(stack[[0, 2]], axis1=1, axis2=2) / d))
+    with np.errstate(over="ignore"):
+        assert cholesky_factors(stack)[1].all()
+
+
 def test_cholesky_reconstructs_random_spd():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -346,6 +364,40 @@ def test_closed_form_2x2_cholesky_flags_the_members_lapack_flags():
     assert np.array_equal(ok, pivots * pivots > pd_tolerance(m))
     assert ok.tolist() == [True] * len(pd) + [False] * len(not_pd)
     assert np.array_equal(factors[ok], lapack[ok])
+
+
+def test_closed_form_2x2_pd_test_matches_lapack_pivots_at_the_tolerance():
+    # Random stacks whose first or second squared pivot lies within a
+    # relative 1e-3 of pd_tolerance, on either side, over twelve orders
+    # of magnitude: the closed form's mask must be the generic one.
+    rng = np.random.default_rng(33)
+    count = 20000
+    a = 10.0 ** rng.uniform(-6.0, 6.0, size=count)
+    l21 = rng.standard_normal(count) * np.sqrt(a)
+    near = 1.0 + rng.uniform(-1e-3, 1e-3, size=count)
+    # Second pivot: l22^2 near 1e-12 * (1 + trace / 2), where the trace is
+    # about a + l21^2.
+    second = 1e-12 * (1.0 + 0.5 * (a + l21 * l21)) * near
+    m2 = np.empty((count, 2, 2))
+    m2[:, 0, 0] = a
+    m2[:, 1, 0] = m2[:, 0, 1] = l21 * np.sqrt(a)
+    m2[:, 1, 1] = l21 * l21 + second
+    # First pivot: a11 near 1e-12 * (1 + a22 / 2), with a small coupling.
+    c = 10.0 ** rng.uniform(-6.0, 6.0, size=count)
+    m1 = np.zeros((count, 2, 2))
+    m1[:, 0, 0] = 1e-12 * (1.0 + 0.5 * c) * near
+    m1[:, 1, 1] = c
+    m1[:, 1, 0] = m1[:, 0, 1] = 1e-3 * np.sqrt(m1[:, 0, 0] * c) * rng.uniform(-1.0, 1.0, count)
+    for m in (m2, m1):
+        with np.errstate(invalid="ignore"):
+            factors, ok = cholesky_factors(m)
+            lapack = _lapack_cholesky(m)
+        pivots = np.minimum.reduce(lapack.diagonal(0, -2, -1), axis=-1)
+        want = pivots * pivots > pd_tolerance(m)
+        assert np.array_equal(ok, want)
+        assert 0.2 < ok.mean() < 0.8
+        assert np.array_equal(factors[ok], lapack[ok])
+        assert np.array_equal(pd_tolerance(m), 1e-12 * (1.0 + (m[:, 0, 0] + m[:, 1, 1]) / 2))
 
 
 # ---------------------------------------------------------------------------

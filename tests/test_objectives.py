@@ -17,6 +17,7 @@ from stochnewton.objectives import (
     bernoulli_scalar_family,
     batch_mean_values,
     evaluate_batch,
+    evaluate_batches,
     fisher_identity_check,
     gaussian_family,
     gaussian_scalar_family,
@@ -220,6 +221,33 @@ def test_candidate_values_do_not_depend_on_the_stack(d, size, count):
         else:
             assert_allclose(stacked[:30], one_at_a_time, rtol=4 * d * np.finfo(float).eps,
                             atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 20])
+def test_least_squares_step_decreases_are_the_evaluated_differences(d):
+    # The closed form lam * (<v, f> + lam/2 * v^T Q v) takes Q before the
+    # ridge. Along a null direction of a rank-one batch Hessian h is flat
+    # (x . v = x0 x1 - x1 x0 is exactly 0), where the ridge's eps would
+    # bend it by lam^2/2 * eps * |v|^2, at least 1e-9 here.
+    rng = np.random.default_rng(45 + d)
+    obj = make_ls_objective(rng, n=20, d=d)
+    count, size = 60, 2
+    theta = rng.uniform(-1.0, 1.0, size=(count, d))
+    idx = np.sort(rng.integers(0, obj.n, size=(count, size)), axis=-1)
+    idx[:20, 1] = idx[:20, 0]
+    with np.errstate(invalid="ignore"):
+        obs, failures = evaluate_batches(obj, theta, idx)
+    assert not failures and (obs.ridge_eps[:20] > 0).all()
+    v = rng.standard_normal((count, d))
+    x = obj.data.xs[idx[:20, 0]]
+    v[:20] = 0.0
+    v[:20, 0], v[:20, 1] = x[:, 1], -x[:, 0]
+    lams = 2.0 ** -np.arange(5.0)
+    got = obj.step_decreases(theta, idx, obs, v, lams)
+    evaluated = SubsampledObjective.step_decreases(obj, theta, idx, obs, v, lams)
+    assert np.array_equal(evaluated, batch_mean_values(obj, theta[:, None] + lams[:, None] * v[:, None],
+                                                       idx[:, None]) - obs.value[:, None])
+    assert np.all(np.abs(got - evaluated) <= 1e-12 * (1.0 + obs.value[:, None]))
 
 
 def test_bernoulli_mean_is_the_logistic_function():

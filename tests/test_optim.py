@@ -447,8 +447,10 @@ def test_ridge_eps_marks_exactly_the_batch_hessians_that_are_not_pd():
 @pytest.mark.parametrize("filtered", [False, True])
 @pytest.mark.parametrize("case", range(3))
 def test_each_step_evaluates_the_origin_once_and_the_candidates_once(case, filtered):
-    # The line search starts from the batch value of the evaluation and
-    # calls the objective once, on the (T, 5, d) candidates.
+    # The line search starts from the batch value and gradient of the
+    # evaluation. A GLM's search calls the objective once, on the
+    # (T, 5, d) candidates; least squares forms the decreases from its
+    # exact quadratic and evaluates no candidate.
     obj, size = _engine_cases()[case]
     count, steps = 4, 5
     rng = np.random.default_rng(50 + case)
@@ -466,40 +468,59 @@ def test_each_step_evaluates_the_origin_once_and_the_candidates_once(case, filte
     obj.batch_sums = counted
     trace = run_trials(obj, theta0, batches, cfg)
     assert not trace.failed_step.any()
-    assert [(theta.shape, derivatives) for theta, derivatives in calls] == \
-        [((count, obj.d), True), ((count, 5, obj.d), False)] * steps
+    quadratic = isinstance(obj, LeastSquaresObjective)
+    per_step = [((count, obj.d), True)] + ([] if quadratic else [((count, 5, obj.d), False)])
+    assert [(theta.shape, derivatives) for theta, derivatives in calls] == per_step * steps
     lams = _step_lengths(4)
     for s in range(steps):
-        assert np.array_equal(calls[2 * s][0], trace.thetas[:, s])
-        candidates = trace.thetas[:, s, None, :] + lams[:, None] * trace.directions[:, s, None, :]
-        assert np.array_equal(calls[2 * s + 1][0], candidates)
+        step = calls[len(per_step) * s:]
+        assert np.array_equal(step[0][0], trace.thetas[:, s])
+        if not quadratic:
+            candidates = trace.thetas[:, s, None, :] + lams[:, None] * trace.directions[:, s, None, :]
+            assert np.array_equal(step[1][0], candidates)
 
 
-@pytest.mark.parametrize("case", ["ls-d2", "glm-d5", "ls-d20"])
+def _ridge_case():
+    # At batch size 2 and d = 2 a batch that draws one sample twice has a
+    # rank-one Hessian, which only the ridge makes PD.
+    return make_ls(np.random.default_rng(30), n=20, d=2), 2
+
+
+@pytest.mark.parametrize("case", ["ls-d2", "glm-d5", "ls-d20", "ls-d2-ridge"])
 def test_every_step_length_is_the_one_point_search(case):
-    # The stacked search reads the origin from the evaluation and forms
-    # the candidate predictors by matrix products; armijo_backtrack
-    # below evaluates the origin and every candidate one point at a
-    # time, with one dot per row. Both must take the same step lengths.
+    # The stacked search reads the origin from the evaluation, and takes
+    # the decreases of least squares from its exact quadratic and those
+    # of a GLM from the candidate predictors formed by matrix products;
+    # armijo_backtrack below evaluates the origin and every candidate
+    # one point at a time, with one dot per row. Both must take the same
+    # step lengths, and the trace's flag must be the sufficient-decrease
+    # test of the evaluated objective at the step length taken.
     obj, size = {"ls-d2": _engine_cases()[0], "glm-d5": _engine_cases()[2],
-                 "ls-d20": _engine_cases()[1]}[case]
-    count, steps = 6, 10
+                 "ls-d20": _engine_cases()[1], "ls-d2-ridge": _ridge_case()}[case]
+    count, steps, c = 20 if case == "ls-d2-ridge" else 6, 10, 0.95
     rng = np.random.default_rng(60)
     theta0 = rng.uniform(-1.0, 1.0, size=(count, obj.d))
     batches = rng.integers(0, obj.n, size=(count, steps, size))
     for filt in (None, FilterConfig(alpha=0.9, beta=0.2, dim=obj.d)):
-        cfg = OptimizerConfig(batch_size=size, max_steps=steps, filter=filt)
+        cfg = OptimizerConfig(batch_size=size, max_steps=steps, filter=filt, armijo_c=c)
         trace = run_trials(obj, theta0, batches, cfg)
         assert not trace.failed_step.any()
+        assert (trace.ridge_eps > 0).sum() >= 5 if case == "ls-d2-ridge" else \
+            not trace.ridge_eps.any()
         expected = np.empty_like(trace.step_lengths)
+        satisfied = np.empty_like(trace.armijo_satisfied)
         for i in range(count):
             for s in range(steps):
                 idx = np.sort(batches[i, s])
-                theta = trace.thetas[i, s]
-                expected[i, s] = armijo_backtrack(
+                theta, v = trace.thetas[i, s], trace.directions[i, s]
+                f = evaluate_batch(obj, theta, idx).f
+                expected[i, s] = lam = armijo_backtrack(
                     lambda points: np.array([batch_mean_values(obj, p, idx) for p in points]),
-                    theta, trace.directions[i, s], evaluate_batch(obj, theta, idx).f)
+                    theta, v, f, c=c)
+                before, after = (batch_mean_values(obj, p, idx) for p in (theta, theta + lam * v))
+                satisfied[i, s] = after - before <= (c * lam) * np.vecdot(v, f)
         assert np.array_equal(trace.step_lengths, expected)
+        assert np.array_equal(trace.armijo_satisfied, satisfied)
 
 
 # ---------------------------------------------------------------------------
