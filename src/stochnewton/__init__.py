@@ -44,9 +44,10 @@ from .line_search import armijo_backtrack, armijo_search
 from .linalg import (
     PositiveDefiniteError,
     cholesky,
-    cholesky_factors,
     cholesky_solve,
     largest_eigenvalues,
+    pd_mask,
+    require_pd,
     solve_spd,
     spd_solve,
     spectral_norm,

@@ -37,9 +37,10 @@ spectral norm is exact from the largest eigenvalue alone:
 
     rho_t = alpha lam_max / (alpha^2 lam_max + beta).
 
-The filter takes rho_t that way and never forms M_t; only
-``momentum_matrix`` forms it, for the one-trial ``dkf_update_info``,
-and takes its norm the same way. Read backwards,
+The stacked filter takes rho_t that way and never forms M_t. The
+one-trial ``dkf_update_info`` and ``momentum_matrix`` form it as
+alpha R^-1 Sigma_{t-1} from the R^-1 of the update, so the two agree
+bit for bit. Read backwards,
 rho_t < r exactly when lam_max(Sigma_{t-1}) < r beta / (alpha (1 - r alpha)):
 at alpha = 0.9 and beta = 0.2 the monitor's rho_t < 0.8 is the
 statement lam_max(Sigma_{t-1}) < 0.635.
@@ -50,8 +51,7 @@ reports the members whose prior or posterior is not PD instead of
 raising; ``dkf_update_info`` is its one-trial case, so a trial gets the
 same bits whether it is filtered alone or in a stack. Only the
 one-trial case also returns M_t and the effective Q_t^-1, which the
-oracle ``unrolled_direction`` reads; its rho equals the stacked rho bit
-for bit.
+oracle ``unrolled_direction`` reads; its rho is the stacked rho.
 """
 
 from dataclasses import dataclass
@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PositiveDefiniteError, cholesky, cholesky_factors, largest_eigenvalues,
-                     solve_spd, spd_solve, sym)
+from .linalg import (PositiveDefiniteError, largest_eigenvalues, pd_mask, require_pd, solve_spd,
+                     spd_solve, sym)
 from .objectives import _members
 
 __all__ = [
@@ -168,16 +168,30 @@ def _momentum_norm(cfg, lam_max):
     return cfg.alpha * lam_max / (cfg.alpha ** 2 * lam_max + cfg.beta)
 
 
+def _r_inverse(cfg, sigma_prev, eye):
+    """R^-1 = (alpha^2 Sigma_{t-1} + beta I)^-1 of a stack of priors (T, d, d).
+
+    ``eye`` is the (d, d) identity. R is PD whenever Sigma_{t-1} is.
+    """
+    r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * eye)
+    return sym(spd_solve(r, eye[None]))
+
+
+def _momentum(cfg, r_inv, sigma_prev):
+    """M_t = alpha R^-1 Sigma_{t-1} of one prior from its R^-1."""
+    return cfg.alpha * (r_inv @ sigma_prev)
+
+
 def momentum_matrix(cfg, sigma_prev):
     """M = alpha (alpha^2 sigma_prev + beta I)^-1 sigma_prev, with its spectral norm.
 
-    The norm is taken from lam_max(sigma_prev) exactly as ``dkf_updates``
-    takes it, so the two agree bit for bit.
+    ``sigma_prev`` is one PD prior covariance (d, d). M is formed as in
+    ``dkf_update_info`` and the norm is taken from lam_max(sigma_prev)
+    exactly as ``dkf_updates`` takes it, so each agrees bit for bit.
     """
     sigma_prev = np.asarray(sigma_prev, dtype=float)
-    r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * np.eye(sigma_prev.shape[0]))
-    cholesky(r)
-    m = cfg.alpha * spd_solve(r, sigma_prev)
+    r_inv = _r_inverse(cfg, sigma_prev[None], np.eye(sigma_prev.shape[-1]))
+    m = _momentum(cfg, r_inv[0], sigma_prev)
     return MomentumMatrix(m=m, rho=float(_momentum_norm(cfg, largest_eigenvalues(sigma_prev))))
 
 
@@ -198,29 +212,26 @@ def dkf_updates(cfg, prev, obs):
     ``np.errstate(invalid="ignore")``, as ``dkf_update_info`` and
     ``optim.run_trials`` do.
     """
-    update, failures, _ = _updates(cfg, prev, obs)
-    for i in np.flatnonzero(~cholesky_factors(prev.sigma)[1]):
+    update, failures = _updates(cfg, prev, obs)[:2]
+    for i in np.flatnonzero(~pd_mask(prev.sigma)):
         failures[i] = PositiveDefiniteError("prior covariance is not positive definite")
     return update, failures
 
 
 def _updates(cfg, prev, obs):
-    """``dkf_updates`` without its prior check, plus the effective Q^-1 of every member."""
+    """``dkf_updates`` without its prior check, plus the effective Q^-1 and R^-1 of every member."""
     eye = np.eye(cfg.dim)
     s_inv = (1.0 / cfg.s_scalar) * eye
     sigma_prev = prev.sigma
-    # R = alpha^2 Sigma + beta I is PD whenever Sigma is.
-    r = sym(cfg.alpha ** 2 * sigma_prev + cfg.beta * eye)
-    eyes = eye[None]
-    q_inv = sym(spd_solve(obs.q, eyes))
-    r_inv = sym(spd_solve(r, eyes))
+    q_inv = sym(spd_solve(obs.q, eye[None]))
+    r_inv = _r_inverse(cfg, sigma_prev, eye)
 
-    fallback = ~cholesky_factors(q_inv - s_inv)[1]
+    fallback = ~pd_mask(q_inv - s_inv)
     q_inv_eff = q_inv + fallback[:, None, None] * s_inv
 
     # A sum of exactly symmetric matrices, so no sym() is needed.
     precision = q_inv_eff + r_inv - s_inv
-    precision_pd = cholesky_factors(precision)[1]
+    precision_pd = pd_mask(precision)
     rhs = (q_inv_eff @ obs.f[..., None]) + cfg.alpha * (r_inv @ prev.mu[..., None])
     # Sigma_t and mu_t = Sigma_t rhs from one solve of the precision
     # against [I | rhs].
@@ -229,7 +240,7 @@ def _updates(cfg, prev, obs):
     columns[..., -1:] = rhs
     x = spd_solve(precision, columns)
     sigma = sym(x[..., :-1])
-    sigma_pd = cholesky_factors(sigma)[1]
+    sigma_pd = pd_mask(sigma)
 
     lam_max = largest_eigenvalues(sigma_prev)
     failures = {}
@@ -245,7 +256,7 @@ def _updates(cfg, prev, obs):
         sigma_lam_max=lam_max,
         rho=_momentum_norm(cfg, lam_max),
     )
-    return update, failures, q_inv_eff
+    return update, failures, q_inv_eff, r_inv
 
 
 def dkf_update_info(cfg, prev, obs):
@@ -255,7 +266,8 @@ def dkf_update_info(cfg, prev, obs):
     replaced by (Q^-1 + S^-1)^-1 before both the covariance and mean
     formulas are applied. This is the one-trial case of ``dkf_updates``,
     with the same rho bit for bit; it also returns the momentum matrix
-    M_t of ``momentum_matrix`` and the effective Q^-1. A prior
+    M_t, formed from the update's R^-1 as ``momentum_matrix`` forms it,
+    and the effective Q^-1. A prior
     covariance that is not PD raises PositiveDefiniteError, and a
     posterior that is not PD raises FilterDivergenceError.
     """
@@ -264,17 +276,18 @@ def dkf_update_info(cfg, prev, obs):
         raise ValueError(f"belief dimensions do not match dim={d}")
     if obs.q.shape != (d, d) or obs.f.shape != (d,):
         raise ValueError(f"observation dimensions do not match dim={d}")
-    cholesky(prev.sigma)
+    require_pd(prev.sigma)
 
     with np.errstate(invalid="ignore"):
-        upd, failures, q_inv_eff = _updates(cfg, _members(prev, None), _members(obs, None))
+        upd, failures, q_inv_eff, r_inv = _updates(cfg, _members(prev, None), _members(obs, None))
     if failures:
         raise failures[0]
     return DkfUpdate(
         belief=_members(upd.belief, 0),
         fallback_fired=bool(upd.fallback_fired[0]),
         q_inv_effective=q_inv_eff[0],
-        momentum=momentum_matrix(cfg, prev.sigma),
+        momentum=MomentumMatrix(m=_momentum(cfg, r_inv[0], np.asarray(prev.sigma, dtype=float)),
+                                rho=float(upd.rho[0])),
     )
 
 

@@ -7,26 +7,29 @@ cofactor inverses are never formed.
 The kernels take one matrix (d, d) or a stack (..., d, d) and treat
 every member on its own, so a member's result does not depend on what
 else is in the stack, and the one-matrix functions are the
-stack-of-one case of the same code. ``cholesky_factors`` never raises:
-it reports which members are PD, so that one non-PD member does not
-stop a whole stack.
+stack-of-one case of the same code. ``pd_mask`` never raises: it
+reports which members are PD, so that one non-PD member does not stop
+a whole stack, and it forms no factor.
 
-Three kernels choose how to compute by one rule, on d alone: a closed
+The kernels choose how to compute by one rule, on d alone: a closed
 form, elementwise over the stack, at d = 2, and one LAPACK gufunc call
 at every other d.
 
-- ``cholesky_lower`` factors at d = 2 in LAPACK's operation order, and
-  so with LAPACK's bits, and calls LAPACK's Cholesky gufunc otherwise.
+- ``pd_mask`` takes the pivots of the Cholesky factor at d = 2 from
+  its closed-form entries, in LAPACK's operation order and so with
+  LAPACK's bits (``_entries_2x2``), and from LAPACK's factor otherwise.
 - ``spd_solve`` solves m x = b. At d = 2 it substitutes through the
-  Cholesky factor of m (``cholesky_lower``), one row at a time over the
-  whole stack; otherwise it makes one call of LAPACK's LU solver gufunc
-  on m itself. Every solve in the library goes through it.
+  same closed-form entries, one row at a time over the whole stack;
+  otherwise it makes one call of LAPACK's LU solver gufunc on m itself.
+  Every solve in the library goes through it.
 - ``largest_eigenvalues`` uses the closed form at d = 2 and LAPACK's
   symmetric eigenvalue gufunc otherwise.
 
 The choice is never made by the stack size: the two kernels round
 differently, so a trial must meet the same kernel alone as in a stack
-to get the same bits.
+to get the same bits. Only ``cholesky`` and ``try_cholesky``, whose
+callers receive the factor, return one; they make one LAPACK call
+(``cholesky_lower``) at every d.
 
 Positive definiteness is decided by a scale-aware pivot threshold, see
 ``pd_tolerance``. Matrix sums and products that are symmetric in exact
@@ -45,8 +48,10 @@ __all__ = [
     "PositiveDefiniteError",
     "sym",
     "pd_tolerance",
+    "scaled_trace",
     "cholesky_lower",
-    "cholesky_factors",
+    "pd_mask",
+    "require_pd",
     "cholesky",
     "try_cholesky",
     "cholesky_solve",
@@ -72,24 +77,35 @@ def pd_tolerance(m):
     Unit-scale matrices get an effectively absolute 1e-12 threshold;
     larger scales get proportionally looser ones. For a stack, one
     threshold per member. A finite ``m`` gets a finite threshold, even
-    where its trace overflows.
+    where its trace overflows (see ``scaled_trace``).
     """
-    with np.errstate(over="ignore"):
-        return _pd_tolerance(m, m.trace(0, -2, -1))
+    return scaled_trace(m, 1e-12)
 
 
-def _pd_tolerance(m, trace):
-    """``pd_tolerance(m)`` from the trace of ``m``.
+def scaled_trace(m, c):
+    """c * (1 + trace(m)/d) for each member of ``m`` (..., d, d), finite for a finite ``m``.
 
-    Where the trace overflows, the threshold is formed as
-    1e-12 + sum_i m_ii * (1e-12/d), which stays finite for a finite
-    ``m``; every other member keeps the bits of the formula.
+    Where the trace overflows, the result is formed as
+    c + sum_i m_ii * (c/d) instead; every other member keeps the bits of
+    the formula. Raises no floating-point warning.
     """
-    tol = 1e-12 * (1.0 + trace / m.shape[-1])
-    if np.isinf(tol).any():
-        scaled = 1e-12 + (m.diagonal(0, -2, -1) * (1e-12 / m.shape[-1])).sum(axis=-1)
-        tol = np.where(np.isinf(trace), scaled, tol)
-    return tol
+    d = m.shape[-1]
+    try:
+        # Only an overflowing trace raises here: the error state tests
+        # for it at less cost than testing the result would.
+        with np.errstate(over="raise"):
+            return c * (1.0 + _trace(m) / d)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            trace = _trace(m)
+            scaled = c * (1.0 + trace / d)
+    safe = c + (m.diagonal(0, -2, -1) * (c / d)).sum(axis=-1)
+    return np.where(np.isinf(trace), safe, scaled)
+
+
+def _trace(m):
+    """The trace of each member; at d = 2 as m11 + m22, which has the bits of ``np.trace`` in less time."""
+    return m[..., 0, 0] + m[..., 1, 1] if m.shape[-1] == 2 else m.trace(0, -2, -1)
 
 
 def _as_square(m):
@@ -104,87 +120,80 @@ def _as_square(m):
 def cholesky_lower(m):
     """Lower Cholesky factors of ``m`` (..., d, d), known to be PD: no PD test.
 
-    At d = 2 the factor is formed elementwise over the stack, in the
-    order of LAPACK's unblocked factorization (l11 = sqrt(a11),
-    l21 = a21 * (1/l11), l22 = sqrt(a22 - l21^2)), which gives LAPACK's
-    bits for a PD member; LAPACK's gufunc otherwise. Only the lower
-    triangle is read. As with the gufunc, a member that is not PD raises
-    at most numpy's invalid-value flag.
+    One call of LAPACK's Cholesky gufunc, which reads only the lower
+    triangle. A member that is not PD raises at most numpy's
+    invalid-value flag.
     """
-    if m.shape[-1] != 2:
-        return _umath_linalg.cholesky_lo(m, signature="d->d")
-    return _factor_2x2(m.shape, *_entries_2x2(m))
+    return _umath_linalg.cholesky_lo(m, signature="d->d")
 
 
 def _entries_2x2(m):
-    """The entries (l11, l21, l22) of ``cholesky_lower`` of a stack (..., 2, 2)."""
-    # A zero pivot divides by zero, and a member far from PD can
-    # overflow; such a member's factor is not meaningful.
-    with np.errstate(divide="ignore", over="ignore"):
-        l11 = np.sqrt(m[..., 0, 0])
-        l21 = m[..., 1, 0] * (1.0 / l11)
-        l22 = np.sqrt(m[..., 1, 1] - l21 * l21)
+    """The entries (l11, l21, l22) of the lower Cholesky factor of a stack (..., 2, 2).
+
+    Formed elementwise over the stack in the order of LAPACK's unblocked
+    factorization (l11 = sqrt(a11), l21 = a21 * (1/l11),
+    l22 = sqrt(a22 - l21^2)), which gives LAPACK's bits for a PD member.
+    Only the lower triangle is read. A zero pivot divides by zero, and a
+    member far from PD can overflow: callers silence both flags, and
+    such a member's entries are not meaningful.
+    """
+    l11 = np.sqrt(m[..., 0, 0])
+    l21 = m[..., 1, 0] * (1.0 / l11)
+    l22 = np.sqrt(m[..., 1, 1] - l21 * l21)
     return l11, l21, l22
 
 
-def _factor_2x2(shape, l11, l21, l22):
-    """The lower-triangular stack of ``shape`` (..., 2, 2) with entries l11, l21, l22."""
-    factor = np.zeros(shape)
-    factor[..., 0, 0] = l11
-    factor[..., 1, 0] = l21
-    factor[..., 1, 1] = l22
-    return factor
+def pd_mask(m):
+    """Which members of ``m`` (d, d) or (..., d, d) are PD.
 
-
-def cholesky_factors(m):
-    """Lower Cholesky factors of ``m`` (d, d) or (..., d, d), and which are PD.
-
-    Returns ``(factors, ok)``. A member is PD when its factorization
-    (``cholesky_lower``) completes and every pivot (squared diagonal of
-    its factor) exceeds ``pd_tolerance``; the factor of any other member
-    is not meaningful. At d = 2 the pivots and the trace are taken from
-    the closed-form entries, elementwise over the stack, with the bits
-    of the general form.
+    A member is PD when its Cholesky factorization completes and every
+    pivot (squared diagonal entry of its factor) exceeds
+    ``pd_tolerance``. At d = 2 the pivots come from the closed-form
+    entries, elementwise over the stack, with LAPACK's bits; at every
+    other d from LAPACK's factor. No factor is returned.
     Never raises for a member that is not PD or not finite, but numpy
-    flags its factorization as an invalid value: callers that expect
-    such members run this under ``np.errstate(invalid="ignore")``.
+    flags a failed factorization as an invalid value, and at d > 2 one
+    far from PD can overflow: callers that expect such members run this
+    under ``np.errstate(invalid="ignore")``, with ``over="ignore"`` too
+    where it matters.
     """
-    if m.shape[-1] != 2:
-        factors = cholesky_lower(m)
-        piv = np.minimum.reduce(factors.diagonal(0, -2, -1), axis=-1)
-        return factors, piv * piv > _pd_tolerance(m, m.trace(0, -2, -1))
-    l11, l21, l22 = _entries_2x2(m)
-    piv = np.minimum(l11, l22)
-    ok = piv * piv > _pd_tolerance(m, m[..., 0, 0] + m[..., 1, 1])
-    return _factor_2x2(m.shape, l11, l21, l22), ok
+    if m.shape[-1] == 2:
+        with np.errstate(divide="ignore", over="ignore"):
+            l11, _, l22 = _entries_2x2(m)
+        piv = np.minimum(l11, l22)
+    else:
+        piv = np.minimum.reduce(cholesky_lower(m).diagonal(0, -2, -1), axis=-1)
+    return piv * piv > pd_tolerance(m)
 
 
-def try_cholesky(m):
-    """Lower Cholesky factor of ``m``, or None if ``m`` is not PD.
-
-    A factorization counts as successful only if ``cholesky_lower``
-    completes and every pivot (squared diagonal of the factor) exceeds
-    ``pd_tolerance(m)``.
-    """
-    m = _as_square(m)
-    # A matrix far from PD can overflow its factorization.
-    with np.errstate(invalid="ignore", over="ignore"):
-        factor, ok = cholesky_factors(m)
-    return factor if ok else None
-
-
-def cholesky(m):
-    """Lower Cholesky factor of an SPD matrix.
+def require_pd(m):
+    """``m`` as a float (d, d) array, checked to pass ``pd_mask``.
 
     Raises PositiveDefiniteError if a pivot falls at or below
     ``pd_tolerance(m)``, ValueError on non-finite input.
     """
-    c = try_cholesky(m)
-    if c is None:
+    m = _as_square(m)
+    # A matrix far from PD can overflow its factorization.
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = pd_mask(m)
+    if not ok:
         raise PositiveDefiniteError(
             "matrix is not positive definite at the pivot tolerance"
         )
-    return c
+    return m
+
+
+def cholesky(m):
+    """Lower Cholesky factor of an SPD matrix; raises as ``require_pd``."""
+    return cholesky_lower(require_pd(m))
+
+
+def try_cholesky(m):
+    """Lower Cholesky factor of ``m``, or None if ``m`` is not PD."""
+    try:
+        return cholesky(m)
+    except PositiveDefiniteError:
+        return None
 
 
 def spd_solve(m, b):
@@ -194,17 +203,17 @@ def spd_solve(m, b):
     right-hand side per matrix, (..., d), when it has one axis fewer
     than ``m``, and columns of right-hand sides, (..., d, k), otherwise.
     At d = 2 the two triangular systems of the Cholesky factor of ``m``
-    (``cholesky_lower``, without a PD test) are solved by substitution,
-    elementwise over the stack and the columns; at every other d ``m``
-    is solved by one LU factorization. No input is checked.
+    (its closed-form entries, without a PD test) are solved by
+    substitution, elementwise over the stack and the columns; at every
+    other d ``m`` is solved by one LU factorization. No input is checked.
     """
     b = np.asarray(b, dtype=float)
     vector = b.ndim < m.ndim
     if m.shape[-1] != 2:
         solve = _umath_linalg.solve1 if vector else _umath_linalg.solve
         return solve(m, b, signature="dd->d")
-    lower = cholesky_lower(m)[..., None]
-    l11, l21, l22 = lower[..., 0, 0, :], lower[..., 1, 0, :], lower[..., 1, 1, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        l11, l21, l22 = (entry[..., None] for entry in _entries_2x2(m))
     rhs = b[..., None] if vector else b
     y1 = rhs[..., 0, :] / l11
     x2 = (rhs[..., 1, :] - l21 * y1) / l22 / l22
@@ -230,9 +239,7 @@ def solve_spd(m, b):
     b = np.asarray(b, dtype=float)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side contains non-finite entries")
-    m = np.asarray(m, dtype=float)
-    cholesky(m)
-    return spd_solve(m, b)
+    return spd_solve(require_pd(m), b)
 
 
 def largest_eigenvalues(m):

@@ -17,13 +17,9 @@ broadcastable stack of (theta, batch) pairs it returns the per-sample
 values and gradients of the batch as rows, and the sum of the
 per-sample Hessians over the batch. The linear models (least squares
 and GLMs) start from the linear predictors x_j . theta, one dot per
-(point, row); where several points share one batch, as a GLM's
-line-search candidates do, the predictors come from one matrix product
-X_b Theta^T per batch instead (``_predictors``). The product equals the
-dots bit for bit only where BLAS adds the d products in the same order:
-on OpenBLAS 0.3.31 for d <= 15; at d = 20 they can differ in the last
-bits. ``SubsampledObjective.batch_sums``
-turns the rows into batch sums under a rule with two parts:
+(point, row), however many points share a batch.
+``SubsampledObjective.batch_sums`` turns the rows into batch sums
+under a rule with two parts:
 
 * Values and gradients are added up in ascending index order with a
   sequential reduction (never BLAS or numpy's pairwise summation; see
@@ -37,9 +33,9 @@ turns the rows into batch sums under a rule with two parts:
   deterministic: a member gets the same bits alone as in a stack, and
   under any BLAS thread count.
 
-Either way a batch sum is a pure function of theta, the batch multiset
-and the number of points that share the batch, never of the stack
-around it. ``evaluate_batches`` forms the
+Either way a batch sum is a pure function of theta and the batch
+multiset, never of the stack around it or of the other points that
+share the batch. ``evaluate_batches`` forms the
 regularized batch observation of a whole stack of trials at once;
 ``evaluate_batch`` is its one-trial case, and per-sample
 ``value_grad_hess`` the one-index case of ``batch_sums``.
@@ -50,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import PositiveDefiniteError, cholesky, cholesky_factors, spd_solve, sym
+from .linalg import PositiveDefiniteError, pd_mask, require_pd, scaled_trace, spd_solve, sym
 
 __all__ = [
     "NumericalError",
@@ -107,7 +103,7 @@ class BatchObservation:
 
     def __post_init__(self):
         if np.ndim(self.q) == 2:
-            cholesky(self.q)
+            require_pd(self.q)
 
     def newton_direction(self):
         """The batch Newton direction -q^-1 f."""
@@ -157,27 +153,6 @@ def _gram(xs, weights=None):
         return np.matmul(xs.mT, xs)
     weights = weights.transpose((*range(1, weights.ndim), 0))
     return np.matmul(xs.mT * weights[..., None, :], xs)
-
-
-def _predictors(xs, theta):
-    """The linear predictors x . theta of the rows ``xs`` (b, ..., d) at ``theta`` (1, ..., d).
-
-    Where several points share one batch (the last axis before d is 1 in
-    ``xs`` and longer in ``theta``, as for the line search's candidates),
-    they come from one matrix product X_b Theta^T per batch; otherwise
-    from one dot per (point, row). The choice depends on the number of
-    points per batch, never on the number of batches, so a member gets
-    the same bits alone as in a stack. The two forms agree bit for bit
-    only where BLAS adds the d products in the same order (on OpenBLAS
-    0.3.31 up to d = 15).
-    """
-    if xs.ndim < 3 or xs.shape[-2] != 1 or theta.shape[-2] == 1:
-        return np.vecdot(xs, theta)
-    # (b, ..., 1, d) -> (..., b, d), times (..., d, k), gives (..., b, k) -> (b, ..., k).
-    rows = xs[..., 0, :]
-    rows = rows.transpose((*range(1, rows.ndim - 1), 0, rows.ndim - 1))
-    eta = np.matmul(rows, theta[0].mT)
-    return eta.transpose((eta.ndim - 2, *range(eta.ndim - 2), eta.ndim - 1))
 
 
 class SubsampledObjective:
@@ -274,25 +249,25 @@ def _regularize_hessians(q):
     """Ridge almost-PSD batch Hessians until Cholesky succeeds.
 
     ``q`` is a (T, d, d) stack, changed in place. Every finite member
-    that is not PD gets eps*I added, with eps = 1e-8 * (1 + trace(q)/d),
-    doubling eps up to ten times before giving up. Returns (q, PD mask,
+    that is not PD gets eps*I added, with eps = 1e-8 * (1 + trace(q)/d)
+    (``scaled_trace``, finite even where the trace overflows), doubling
+    eps up to ten times before giving up. Returns (q, PD mask,
     eps), where ``eps`` (T,) is the ridge that made each member PD, 0
     where none was added or none sufficed.
     """
-    ok = cholesky_factors(q)[1]
+    ok = pd_mask(q)
     ridge = np.zeros(len(q))
     if ok.all():
         return q, ok, ridge
     need = np.flatnonzero(~ok & np.isfinite(q).all(axis=(-2, -1)))
-    d = q.shape[-1]
     sub = q[need]
-    eps = 1e-8 * (1.0 + np.trace(sub, axis1=-2, axis2=-1) / d)
-    eye = np.eye(d)
+    eps = scaled_trace(sub, 1e-8)
+    eye = np.eye(q.shape[-1])
     for _ in range(10):
         if not len(need):
             break
         trial = sub + eps[:, None, None] * eye
-        passed = cholesky_factors(trial)[1]
+        passed = pd_mask(trial)
         done = need[passed]
         q[done], ok[done] = trial[passed], True
         ridge[done] = eps[passed]
@@ -380,10 +355,9 @@ def batch_mean_values(obj, thetas, idx):
 
     ``idx`` holds ascending batches, as from ``sorted_batch``, with a
     leading shape that broadcasts with that of ``thetas``. The values are
-    summed as in ``evaluate_batch``, and equal its value bit for bit for
-    one point per batch; where several points share a batch their
-    predictors come from a matrix product (see the module docstring).
-    Non-finite values are returned as they are.
+    summed as in ``evaluate_batch`` and equal its value bit for bit,
+    however many points share a batch. Non-finite values are returned
+    as they are.
     """
     return obj.batch_sums(thetas, idx, derivatives=False)[0] / float(idx.shape[-1])
 
@@ -453,7 +427,7 @@ class LeastSquaresObjective(SubsampledObjective):
 
     def row_terms(self, theta, idx, derivatives=True):
         xs = self.data.xs[idx]
-        r = _predictors(xs, theta) - self.data.ys[idx]
+        r = np.vecdot(xs, theta) - self.data.ys[idx]
         value = 0.5 * r * r
         if not derivatives:
             return (value,)
@@ -638,7 +612,7 @@ class GlmObjective(SubsampledObjective):
         fam = self.data.family
         xs = self.data.xs[idx]
         ys = self.data.ys[idx]
-        eta = _predictors(xs, theta)
+        eta = np.vecdot(xs, theta)
         value = np.asarray(fam.a(eta), dtype=float) - eta * ys
         if not derivatives:
             return (value,)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import line_search
 from .filtering import FilterConfig, _updates, init_belief
-from .linalg import cholesky
+from .linalg import require_pd
 from .objectives import _members, _one_trial, evaluate_batches, sample_batch, sorted_batch
 
 __all__ = [
@@ -227,7 +227,7 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
         belief = init_belief(obs)
         direction = newton
     else:
-        upd, diverged, _ = _updates(cfg.filter, belief, obs)
+        upd, diverged = _updates(cfg.filter, belief, obs)[:2]
         for i, err in diverged.items():
             failures.setdefault(i, err)
         belief, direction = upd.belief, upd.direction
@@ -299,7 +299,7 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
     is not PD raises PositiveDefiniteError.
     """
     if belief_prev is not None:
-        cholesky(belief_prev.sigma)
+        require_pd(belief_prev.sigma)
     return _one_step(obj, theta_prev, batch, belief_prev, cfg, True, t)
 
 

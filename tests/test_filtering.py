@@ -416,6 +416,10 @@ def test_stacked_update_equals_one_trial_updates_bitwise(stack):
         assert np.array_equal(one.belief.sigma, upd.belief.sigma[i])
         assert one.fallback_fired == upd.fallback_fired[i]
         assert one.momentum.rho == upd.rho[i]
+        # One M_t: the update's and momentum_matrix's agree bit for bit.
+        formed = momentum_matrix(cfg, prev.sigma[i])
+        assert np.array_equal(one.momentum.m, formed.m)
+        assert one.momentum.rho == formed.rho
 
 
 @settings(max_examples=60, deadline=None)

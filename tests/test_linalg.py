@@ -7,11 +7,12 @@ from numpy.testing import assert_allclose
 
 from stochnewton.linalg import (
     PositiveDefiniteError,
+    _entries_2x2,
     cholesky,
-    cholesky_factors,
     cholesky_lower,
     cholesky_solve,
     largest_eigenvalues,
+    pd_mask,
     pd_tolerance,
     solve_spd,
     spd_solve,
@@ -64,8 +65,8 @@ def test_a_finite_pd_matrix_whose_trace_overflows_is_pd(d):
     tol = pd_tolerance(stack)
     assert np.isfinite(tol).all()
     assert np.array_equal(tol[[0, 2]], 1e-12 * (1.0 + np.trace(stack[[0, 2]], axis1=1, axis2=2) / d))
-    with np.errstate(over="ignore"):
-        assert cholesky_factors(stack)[1].all()
+    assert pd_mask(m)
+    assert pd_mask(stack).all()
 
 
 def test_cholesky_reconstructs_random_spd():
@@ -306,6 +307,19 @@ def _lapack_cholesky(m):
     return _umath_linalg.cholesky_lo(m, signature="d->d")
 
 
+def _closed_form_factor(m):
+    """The lower factor (..., 2, 2) with the closed-form entries of ``m``.
+
+    As every caller of ``_entries_2x2`` does, the divide and overflow
+    flags of members that are not PD are silenced.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        l11, l21, l22 = _entries_2x2(m)
+    factor = np.zeros(m.shape)
+    factor[..., 0, 0], factor[..., 1, 0], factor[..., 1, 1] = l11, l21, l22
+    return factor
+
+
 def test_closed_form_2x2_cholesky_equals_lapack_bitwise():
     rng = np.random.default_rng(31)
     count = 20000
@@ -320,15 +334,16 @@ def test_closed_form_2x2_cholesky_equals_lapack_bitwise():
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = cholesky_lower(m)
+        got = _closed_form_factor(m)
     assert np.array_equal(got, _lapack_cholesky(m))
+    assert np.array_equal(cholesky_lower(m), got)
     # The upper triangle is not read.
     upper = m.copy()
     upper[:, 0, 1] = np.nan
-    assert np.array_equal(cholesky_lower(upper), got)
+    assert np.array_equal(_closed_form_factor(upper), got)
     # A member alone gets its bits in the stack.
     for i in (0, count, len(m) - 1):
-        assert np.array_equal(cholesky_lower(m[i]), got[i])
+        assert np.array_equal(_closed_form_factor(m[i]), got[i])
 
 
 def test_closed_form_2x2_cholesky_flags_the_members_lapack_flags():
@@ -354,7 +369,8 @@ def test_closed_form_2x2_cholesky_flags_the_members_lapack_flags():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(invalid="ignore"):
-            factors, ok = cholesky_factors(m)
+            ok = pd_mask(m)
+            factors = _closed_form_factor(m)
         for member in not_pd:
             if np.isfinite(member).all():
                 assert try_cholesky(member) is None
@@ -390,7 +406,8 @@ def test_closed_form_2x2_pd_test_matches_lapack_pivots_at_the_tolerance():
     m1[:, 1, 0] = m1[:, 0, 1] = 1e-3 * np.sqrt(m1[:, 0, 0] * c) * rng.uniform(-1.0, 1.0, count)
     for m in (m2, m1):
         with np.errstate(invalid="ignore"):
-            factors, ok = cholesky_factors(m)
+            ok = pd_mask(m)
+            factors = _closed_form_factor(m)
             lapack = _lapack_cholesky(m)
         pivots = np.minimum.reduce(lapack.diagonal(0, -2, -1), axis=-1)
         want = pivots * pivots > pd_tolerance(m)
@@ -398,6 +415,8 @@ def test_closed_form_2x2_pd_test_matches_lapack_pivots_at_the_tolerance():
         assert 0.2 < ok.mean() < 0.8
         assert np.array_equal(factors[ok], lapack[ok])
         assert np.array_equal(pd_tolerance(m), 1e-12 * (1.0 + (m[:, 0, 0] + m[:, 1, 1]) / 2))
+        # The one-matrix factor and the stacked mask agree on every member.
+        assert [try_cholesky(member) is not None for member in m] == ok.tolist()
 
 
 # ---------------------------------------------------------------------------
