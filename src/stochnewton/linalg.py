@@ -104,7 +104,8 @@ def scaled_trace(m, c):
 
 
 def _trace(m):
-    """The trace of each member; at d = 2 as m11 + m22, which has the bits of ``np.trace`` in less time."""
+    """The trace of each member: at d = 2 as m11 + m22, which has the bits
+    of ``np.trace`` in less time."""
     return m[..., 0, 0] + m[..., 1, 1] if m.shape[-1] == 2 else m.trace(0, -2, -1)
 
 
@@ -152,10 +153,9 @@ def pd_mask(m):
     entries, elementwise over the stack, with LAPACK's bits; at every
     other d from LAPACK's factor. No factor is returned.
     Never raises for a member that is not PD or not finite, but numpy
-    flags a failed factorization as an invalid value, and at d > 2 one
-    far from PD can overflow: callers that expect such members run this
-    under ``np.errstate(invalid="ignore")``, with ``over="ignore"`` too
-    where it matters.
+    flags a failed factorization as an invalid value, and at d > 2 the
+    factorization of a member far from PD can overflow: callers that
+    expect such members silence these flags with ``np.errstate``.
     """
     if m.shape[-1] == 2:
         with np.errstate(divide="ignore", over="ignore"):
