@@ -18,7 +18,6 @@ from .filtering import (
     check_contraction_bound,
     dkf_update,
     dkf_update_info,
-    dkf_updates,
     init_belief,
     momentum_matrix,
     unrolled_direction,
@@ -43,7 +42,6 @@ from .experiment import (
 from .line_search import armijo_backtrack, armijo_search
 from .linalg import (
     PositiveDefiniteError,
-    cholesky,
     cholesky_solve,
     largest_eigenvalues,
     pd_mask,
@@ -67,7 +65,6 @@ from .objectives import (
     ScalarFamily,
     SubsampledObjective,
     bernoulli_family,
-    batch_mean_values,
     bernoulli_scalar_family,
     evaluate_batch,
     evaluate_batches,

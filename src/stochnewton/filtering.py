@@ -45,13 +45,15 @@ rho_t < r exactly when lam_max(Sigma_{t-1}) < r beta / (alpha (1 - r alpha)):
 at alpha = 0.9 and beta = 0.2 the monitor's rho_t < 0.8 is the
 statement lam_max(Sigma_{t-1}) < 0.635.
 
-``dkf_updates`` applies the update to a whole stack of trials at once,
+``_updates`` applies the update to a whole stack of trials at once,
 with beliefs and observations that carry a leading trial axis, and
-reports the members whose prior or posterior is not PD instead of
-raising; ``dkf_update_info`` is its one-trial case, so a trial gets the
-same bits whether it is filtered alone or in a stack. Only the
-one-trial case also returns M_t and the effective Q_t^-1, which the
-oracle ``unrolled_direction`` reads; its rho is the stacked rho.
+reports the members whose posterior is not PD instead of raising; the
+engine (``optim.run_trials``) calls it with PD-tested priors, and
+``dkf_update_info`` is its one-trial case, which checks its prior, so a
+trial gets the same bits whether it is filtered alone or in a stack.
+Only the one-trial case also returns M_t and the effective Q_t^-1,
+which the oracle ``unrolled_direction`` reads; its rho is the stacked
+rho.
 """
 
 from dataclasses import dataclass
@@ -59,8 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PositiveDefiniteError, largest_eigenvalues, pd_mask, require_pd, solve_spd,
-                     spd_solve, sym)
+from .linalg import largest_eigenvalues, pd_mask, require_pd, solve_spd, spd_solve, sym
 from .objectives import _members
 
 __all__ = [
@@ -72,7 +73,6 @@ __all__ = [
     "FilterDivergenceError",
     "init_belief",
     "dkf_update",
-    "dkf_updates",
     "dkf_update_info",
     "momentum_matrix",
     "ContractionCheck",
@@ -115,7 +115,7 @@ class FilterConfig:
 class GaussianBelief:
     """Posterior N(mu, sigma) over the latent full-objective gradient.
 
-    The beliefs of a stack of trials (see ``dkf_updates``) share one
+    The beliefs of a stack of trials (see ``_updates``) share one
     object whose fields carry a leading trial axis.
     """
 
@@ -187,7 +187,7 @@ def momentum_matrix(cfg, sigma_prev):
 
     ``sigma_prev`` is one PD prior covariance (d, d). M is formed as in
     ``dkf_update_info`` and the norm is taken from lam_max(sigma_prev)
-    exactly as ``dkf_updates`` takes it, so each agrees bit for bit.
+    exactly as the stacked ``_updates`` takes it, so each agrees bit for bit.
     """
     sigma_prev = np.asarray(sigma_prev, dtype=float)
     r_inv = _r_inverse(cfg, sigma_prev[None], np.eye(sigma_prev.shape[-1]))
@@ -195,31 +195,24 @@ def momentum_matrix(cfg, sigma_prev):
     return MomentumMatrix(m=m, rho=float(_momentum_norm(cfg, largest_eigenvalues(sigma_prev))))
 
 
-def dkf_updates(cfg, prev, obs):
+def _updates(cfg, prev, obs):
     """Advance a stack of posteriors by one batch each.
 
     ``prev`` is a GaussianBelief and ``obs`` a BatchObservation whose
-    fields carry a leading trial axis (T, ...). Follows the update
-    literally: where Q^-1 - S^-1 is not PD, Q is replaced by
-    (Q^-1 + S^-1)^-1 before both the covariance and mean formulas are
-    applied. Returns ``(update, failures)``: a DkfUpdates, and a map from
-    the position of each failed member to its error: PositiveDefiniteError
-    where the prior covariance is not PD, else FilterDivergenceError
-    where the posterior stopped being PD. The fields of a failed member
-    are not meaningful. A member's result does not depend on the rest of
-    the stack. The fallback test fails for many members by design, and numpy
-    flags each such factorization as an invalid value: call this under
-    ``np.errstate(invalid="ignore")``, as ``dkf_update_info`` and
+    fields carry a leading trial axis (T, ...); every prior covariance
+    must be PD, which is not checked. Follows the update literally:
+    where Q^-1 - S^-1 is not PD, Q is replaced by (Q^-1 + S^-1)^-1
+    before both the covariance and mean formulas are applied. Returns
+    ``(update, failures, q_inv_eff, r_inv)``: a DkfUpdates; a map from
+    the position of each member whose posterior stopped being PD to its
+    FilterDivergenceError; and the effective Q^-1 and the R^-1
+    (T, d, d) of every member. The fields of a failed member are not
+    meaningful. A member's result does not depend on the rest of the
+    stack. The fallback test fails for many members by design, and
+    numpy flags each such factorization as an invalid value: call this
+    under ``np.errstate(invalid="ignore")``, as ``dkf_update_info`` and
     ``optim.run_trials`` do.
     """
-    update, failures = _updates(cfg, prev, obs)[:2]
-    for i in np.flatnonzero(~pd_mask(prev.sigma)):
-        failures[i] = PositiveDefiniteError("prior covariance is not positive definite")
-    return update, failures
-
-
-def _updates(cfg, prev, obs):
-    """``dkf_updates`` without its prior check, plus the effective Q^-1 and R^-1 of every member."""
     eye = np.eye(cfg.dim)
     s_inv = (1.0 / cfg.s_scalar) * eye
     sigma_prev = prev.sigma
@@ -264,7 +257,7 @@ def dkf_update_info(cfg, prev, obs):
 
     Follows the update literally: when Q^-1 - S^-1 is not PD, Q is
     replaced by (Q^-1 + S^-1)^-1 before both the covariance and mean
-    formulas are applied. This is the one-trial case of ``dkf_updates``,
+    formulas are applied. This is the one-trial case of ``_updates``,
     with the same rho bit for bit; it also returns the momentum matrix
     M_t, formed from the update's R^-1 as ``momentum_matrix`` forms it,
     and the effective Q^-1. A prior

@@ -27,9 +27,9 @@ at every other d.
 
 The choice is never made by the stack size: the two kernels round
 differently, so a trial must meet the same kernel alone as in a stack
-to get the same bits. Only ``cholesky`` and ``try_cholesky``, whose
-callers receive the factor, return one; they make one LAPACK call
-(``cholesky_lower``) at every d.
+to get the same bits. Only ``try_cholesky``, whose callers receive the
+factor, returns one; after ``require_pd``'s test it makes one LAPACK
+call (``cholesky_lower``) at every d.
 
 Positive definiteness is decided by a scale-aware pivot threshold, see
 ``pd_tolerance``. Matrix sums and products that are symmetric in exact
@@ -52,7 +52,6 @@ __all__ = [
     "cholesky_lower",
     "pd_mask",
     "require_pd",
-    "cholesky",
     "try_cholesky",
     "cholesky_solve",
     "spd_solve",
@@ -67,8 +66,13 @@ class PositiveDefiniteError(np.linalg.LinAlgError):
 
 
 def sym(m):
-    """Re-symmetrize a nominally symmetric matrix (or stack) as (m + m.T) / 2."""
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    """Re-symmetrize a nominally symmetric matrix (or stack) as m/2 + m.T/2.
+
+    Halving first keeps a finite ``m`` finite; in the normal range it
+    has the bits of (m + m.T) / 2.
+    """
+    half = 0.5 * m
+    return half + half.swapaxes(-1, -2)
 
 
 def pd_tolerance(m):
@@ -183,15 +187,13 @@ def require_pd(m):
     return m
 
 
-def cholesky(m):
-    """Lower Cholesky factor of an SPD matrix; raises as ``require_pd``."""
-    return cholesky_lower(require_pd(m))
-
-
 def try_cholesky(m):
-    """Lower Cholesky factor of ``m``, or None if ``m`` is not PD."""
+    """Lower Cholesky factor of ``m``, or None if ``m`` fails ``require_pd``.
+
+    Non-finite input raises ValueError, as there.
+    """
     try:
-        return cholesky(m)
+        return cholesky_lower(require_pd(m))
     except PositiveDefiniteError:
         return None
 

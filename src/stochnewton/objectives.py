@@ -56,7 +56,6 @@ __all__ = [
     "sorted_batch",
     "evaluate_batches",
     "evaluate_batch",
-    "batch_mean_values",
     "LeastSquaresData",
     "load_least_squares_csv",
     "LeastSquaresObjective",
@@ -222,14 +221,17 @@ class SubsampledObjective:
         ``theta`` and ``v`` are (T, d) stacks, ``idx`` (T, b) the
         ascending batches, ``obs`` their observation at ``theta`` (as
         from ``evaluate_batches``) and ``lams`` (k,) the step lengths.
-        Returns the (T, k) decreases, row t on trial t's batch. Here every
-        candidate theta + lam*v is evaluated with ``batch_mean_values``
-        and ``obs.value`` subtracted; a subclass whose h has a closed form
-        along a line may form them without evaluating any candidate.
-        Non-finite decreases are returned as they are.
+        Returns the (T, k) decreases, row t on trial t's batch. Here the
+        batch-mean value at every candidate theta + lam*v is formed from
+        ``batch_sums`` as ``evaluate_batches`` forms ``obs.value``, so
+        it equals that value bit for bit at lam = 0, and ``obs.value`` is
+        subtracted; a subclass whose h has a closed form along a line may
+        form them without evaluating any candidate. Non-finite decreases
+        are returned as they are.
         """
         points = theta[:, None, :] + lams[:, None] * v[:, None, :]
-        return batch_mean_values(self, points, idx[:, None, :]) - obs.value[:, None]
+        values = self.batch_sums(points, idx[:, None, :], derivatives=False)[0]
+        return values / idx.shape[-1] - obs.value[:, None]
 
     def value_grad_hess(self, theta, j):
         """Per-sample (log g_j(theta), gradient, Hessian): the one-index case of ``batch_sums``."""
@@ -350,18 +352,6 @@ def evaluate_batch(obj, theta, batch):
     return _members(obs, 0)
 
 
-def batch_mean_values(obj, thetas, idx):
-    """Batch-mean objective value at each point of ``thetas`` (..., d).
-
-    ``idx`` holds ascending batches, as from ``sorted_batch``, with a
-    leading shape that broadcasts with that of ``thetas``. The values are
-    summed as in ``evaluate_batch`` and equal its value bit for bit,
-    however many points share a batch. Non-finite values are returned
-    as they are.
-    """
-    return obj.batch_sums(thetas, idx, derivatives=False)[0] / float(idx.shape[-1])
-
-
 # ---------------------------------------------------------------------------
 # Least squares
 # ---------------------------------------------------------------------------
@@ -457,9 +447,13 @@ class ExpFamily:
     ``t`` maps a batch of raw samples (m, k) to sufficient statistics
     (m, d); ``a`` is the log-normalizer with evaluators ``grad_a`` and
     ``hess_a``; ``sample(rng, theta, size)`` draws from the member at
-    ``theta``. grad_a and hess_a are the mean and covariance of t under
-    that member, which is what makes the Newton direction a natural
-    gradient here.
+    ``theta`` (d,). grad_a and hess_a are the mean and covariance of t
+    under that member, which is what makes the Newton direction a
+    natural gradient here.
+
+    ``a``, ``grad_a`` and ``hess_a`` take a stack of points (..., d),
+    one point (d,) included, and return float arrays of shapes (...),
+    (..., d) and (..., d, d), each member computed on its own.
     """
 
     d: int
@@ -477,9 +471,9 @@ def gaussian_family(d=1):
         d=d,
         k=d,
         t=lambda xs: np.atleast_2d(xs),
-        a=lambda theta: 0.5 * float(np.dot(theta, theta)),
+        a=lambda theta: 0.5 * np.vecdot(theta, theta),
         grad_a=lambda theta: np.asarray(theta, dtype=float),
-        hess_a=lambda theta: np.eye(d),
+        hess_a=lambda theta: np.broadcast_to(np.eye(d), np.shape(theta)[:-1] + (d, d)),
         sample=lambda rng, theta, size: theta + rng.standard_normal((size, d)),
     )
 
@@ -504,9 +498,9 @@ def bernoulli_family():
         d=1,
         k=1,
         t=lambda xs: np.atleast_2d(np.asarray(xs, dtype=float).reshape(-1, 1)),
-        a=lambda theta: float(np.logaddexp(0.0, theta[0])),
-        grad_a=lambda theta: np.array([float(_logistic(theta[0]))]),
-        hess_a=lambda theta: np.array([[float(_bernoulli_variance(_logistic(theta[0])))]]),
+        a=lambda theta: np.logaddexp(0.0, theta[..., 0]),
+        grad_a=lambda theta: _logistic(theta),
+        hess_a=lambda theta: _bernoulli_variance(_logistic(theta))[..., None],
         sample=lambda rng, theta, size: (
             rng.random((size, 1)) < _logistic(theta[0])
         ).astype(float),
@@ -536,17 +530,12 @@ class ExpFamilyObjective(SubsampledObjective):
 
     def row_terms(self, theta, idx, derivatives=True):
         fam = self.family
-        lead = theta.shape[:-1]
-        thetas = theta.reshape(-1, self.d)
         ts = self._ts[idx]
-        a_vals = np.array([float(fam.a(th)) for th in thetas]).reshape(lead)
-        rows = [a_vals - np.vecdot(theta, ts)]
-        if derivatives:
-            grad_a = np.array([np.asarray(fam.grad_a(th), dtype=float) for th in thetas])
-            hess_a = np.array([sym(np.asarray(fam.hess_a(th), dtype=float)) for th in thetas])
-            rows.append(grad_a.reshape(lead + (self.d,)) - ts)
-            rows.append(float(idx.shape[0]) * hess_a.reshape(lead[1:] + (self.d, self.d)))
-        return tuple(rows)
+        value = fam.a(theta) - np.vecdot(theta, ts)
+        if not derivatives:
+            return (value,)
+        # theta is (1, ..., d), so theta[0] is the stack of points itself.
+        return value, fam.grad_a(theta) - ts, idx.shape[0] * sym(fam.hess_a(theta[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ termination test: a run always executes ``max_steps`` steps.
 in lockstep, each on its own batches drawn up front: every step
 evaluates all batches, checks and ridges the Hessians, updates the
 filters and line-searches with one numpy call per layer on the whole
-stack (``evaluate_batches``, ``dkf_updates``, ``armijo_search``), and
+stack (``evaluate_batches``, ``filtering._updates``, ``armijo_search``), and
 writes the step straight into the arrays of a ``StackedTrace``. A trial
 that fails leaves the stack at that step and the others carry on; no
 trial's numbers depend on which others share its stack. ``run`` is the
@@ -209,8 +209,8 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
     ``theta`` (T, d) holds the iterates and ``idx`` (T, b) the ascending
     batches; the new iterates go to ``trace.thetas[rows, s + 1]``.
     ``belief`` is the filter's stacked belief, None before the first
-    filtered step; it holds PD-tested posteriors, so the filter update
-    skips the prior check of ``dkf_updates``. Returns (theta, belief,
+    filtered step; it holds PD-tested posteriors, which is what the
+    stacked filter update ``_updates`` requires. Returns (theta, belief,
     failures): the new iterates, the new belief, and a map from the
     position of each member that failed to the first error it met. The
     line search searches the batch objective in both variants, on the

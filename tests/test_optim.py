@@ -6,13 +6,14 @@ from numpy.testing import assert_allclose
 
 from stochnewton.filtering import FilterConfig, GaussianBelief, dkf_update_info, init_belief
 from stochnewton.objectives import (
+    ExpFamilyObjective,
     GlmData,
     GlmObjective,
     LeastSquaresData,
     LeastSquaresObjective,
     NumericalError,
     SubsampledObjective,
-    batch_mean_values,
+    bernoulli_family,
     bernoulli_scalar_family,
     evaluate_batch,
     sample_batch,
@@ -317,6 +318,8 @@ def _engine_cases():
         (LeastSquaresObjective(LeastSquaresData(xs=wide, ys=wide @ np.ones(20))), 100),
         (GlmObjective(GlmData(xs=logistic, ys=(rng.random(200) < 0.5).astype(float),
                               family=bernoulli_scalar_family())), 20),
+        # Evaluated through the family's a, grad_a and hess_a on the whole stack.
+        (ExpFamilyObjective(bernoulli_family(), (rng.random((50, 1)) < 0.3).astype(float)), 10),
     ]
 
 
@@ -335,7 +338,7 @@ def _assert_members_equal_one_trial_runs(obj, theta0, batches, cfg, stacked):
 
 
 @pytest.mark.parametrize("filtered", [False, True])
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_stacked_trials_equal_one_trial_runs_bitwise(case, filtered):
     obj, size = _engine_cases()[case]
     count, steps = 6, 8
@@ -409,7 +412,8 @@ def test_trace_records_rho_source_and_armijo_outcome(case):
             for t in range(1, steps + 1):
                 idx = np.sort(batches[i, t - 1])
                 points = trace.thetas[i, t - 1:t + 1]
-                before, after = batch_mean_values(obj, points[None], idx[None, None])[0]
+                sums = obj.batch_sums(points[None], idx[None, None], derivatives=False)[0]
+                before, after = sums[0] / size
                 v = trace.directions[i, t - 1]
                 f = evaluate_batch(obj, points[0], idx).f
                 lam_t = trace.step_lengths[i, t - 1]
@@ -514,10 +518,13 @@ def test_every_step_length_is_the_one_point_search(case):
                 idx = np.sort(batches[i, s])
                 theta, v = trace.thetas[i, s], trace.directions[i, s]
                 f = evaluate_batch(obj, theta, idx).f
+
+                def value(p):
+                    return obj.batch_sums(p, idx, derivatives=False)[0] / size
+
                 expected[i, s] = lam = armijo_backtrack(
-                    lambda points: np.array([batch_mean_values(obj, p, idx) for p in points]),
-                    theta, v, f, c=c)
-                before, after = (batch_mean_values(obj, p, idx) for p in (theta, theta + lam * v))
+                    lambda points: np.array([value(p) for p in points]), theta, v, f, c=c)
+                before, after = (value(p) for p in (theta, theta + lam * v))
                 satisfied[i, s] = after - before <= (c * lam) * np.vecdot(v, f)
         assert np.array_equal(trace.step_lengths, expected)
         assert np.array_equal(trace.armijo_satisfied, satisfied)
