@@ -231,7 +231,8 @@ class AngularErrorStats:
 
 @dataclass(frozen=True)
 class MethodCurves:
-    """Per-step mean/sd curves for one method; rho fields are filtered-only."""
+    """Per-step mean/sd curves for one method; the rho curves are nan at
+    steps without a momentum matrix, every step of the unfiltered method."""
 
     mean_dist: np.ndarray
     sd_dist: np.ndarray
@@ -239,8 +240,8 @@ class MethodCurves:
     sd_obj: np.ndarray
     mean_displacement: np.ndarray
     sd_displacement: np.ndarray
-    mean_rho: Optional[np.ndarray] = None
-    max_rho: Optional[np.ndarray] = None
+    mean_rho: np.ndarray
+    max_rho: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -366,20 +367,19 @@ def run_paired_trials(cfg, workers=1):
         unfiltered, filtered = unfiltered.select(keep), filtered.select(keep)
         ang_u, ang_f, batches = ang_u[keep], ang_f[keep], batches[keep]
     stats = AngularErrorStats.from_errors(ang_u, ang_f)
-    rho = filtered.rho
 
-    mean_rho = np.full(cfg.steps, np.nan)
-    max_rho = np.full(cfg.steps, np.nan)
-    defined = ~np.isnan(rho[0])
-    if defined.any():
-        mean_rho[defined] = rho[:, defined].mean(axis=0)
-        max_rho[defined] = rho[:, defined].max(axis=0)
-
-    def method_curves(trace, with_rho):
+    def method_curves(trace):
         dist, objv, disp = _trajectory_curves(trace, theta_star, gram, f_star)
         mean_dist, sd_dist = _mean_sd(dist)
         mean_obj, sd_obj = _mean_sd(objv)
         mean_disp, sd_disp = _mean_sd(disp)
+        rho = trace.rho
+        mean_rho = np.full(cfg.steps, np.nan)
+        max_rho = np.full(cfg.steps, np.nan)
+        defined = ~np.isnan(rho[0])
+        if defined.any():
+            mean_rho[defined] = rho[:, defined].mean(axis=0)
+            max_rho[defined] = rho[:, defined].max(axis=0)
         return MethodCurves(
             mean_dist=mean_dist,
             sd_dist=sd_dist,
@@ -387,14 +387,11 @@ def run_paired_trials(cfg, workers=1):
             sd_obj=sd_obj,
             mean_displacement=mean_disp,
             sd_displacement=sd_disp,
-            mean_rho=mean_rho if with_rho else None,
-            max_rho=max_rho if with_rho else None,
+            mean_rho=mean_rho,
+            max_rho=max_rho,
         )
 
-    curves = AggregateCurves(
-        unfiltered=method_curves(unfiltered, with_rho=False),
-        filtered=method_curves(filtered, with_rho=True),
-    )
+    curves = AggregateCurves(unfiltered=method_curves(unfiltered), filtered=method_curves(filtered))
     return ExperimentResult(
         config=cfg,
         stats=stats,
@@ -440,8 +437,6 @@ def rho_monitor_summary(traces, threshold=0.8, min_step=5):
 
 
 def _fmt(x):
-    if x is None:
-        return ""
     x = float(x)
     if math.isnan(x):
         return ""
@@ -469,8 +464,7 @@ def emit_csv(stats, curves, path):
         mc = getattr(curves, method)
         values = [getattr(mc, name) for name in columns]
         for i in range(curves.steps):
-            curve_lines.append(",".join([str(i + 1), method] + [
-                _fmt(None if value is None else value[i]) for value in values]))
+            curve_lines.append(",".join([str(i + 1), method] + [_fmt(value[i]) for value in values]))
 
     with open(f"{path}.table1.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(table_lines) + "\n")

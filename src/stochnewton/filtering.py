@@ -37,10 +37,10 @@ spectral norm is exact from the largest eigenvalue alone:
 
     rho_t = alpha lam_max / (alpha^2 lam_max + beta).
 
-The stacked filter takes rho_t that way and never forms M_t. The
-one-trial ``dkf_update_info`` and ``momentum_matrix`` form it as
-alpha R^-1 Sigma_{t-1} from the R^-1 of the update, so the two agree
-bit for bit. Read backwards,
+The stacked filter takes rho_t that way and never forms M_t;
+``momentum_matrix`` forms it as alpha R^-1 Sigma_{t-1}, with R^-1 and
+rho_t computed as the update computes them, so the two agree bit for
+bit. Read backwards,
 rho_t < r exactly when lam_max(Sigma_{t-1}) < r beta / (alpha (1 - r alpha)):
 at alpha = 0.9 and beta = 0.2 the monitor's rho_t < 0.8 is the
 statement lam_max(Sigma_{t-1}) < 0.635.
@@ -51,9 +51,8 @@ reports the members whose posterior is not PD instead of raising; the
 engine (``optim.run_trials``) calls it with PD-tested priors, and
 ``dkf_update_info`` is its one-trial case, which checks its prior, so a
 trial gets the same bits whether it is filtered alone or in a stack.
-Only the one-trial case also returns M_t and the effective Q_t^-1,
-which the oracle ``unrolled_direction`` reads; its rho is the stacked
-rho.
+The one-trial case also returns M_t from ``momentum_matrix``, which the
+oracle ``unrolled_direction`` reads with the effective Q_t^-1.
 """
 
 from dataclasses import dataclass
@@ -145,7 +144,8 @@ class DkfUpdates(NamedTuple):
 
     ``direction`` (T, d) is the step direction -Sigma_t^-1 mu_t, taken as
     the negative information vector -(Q_eff^-1 f_t + alpha R^-1 mu_{t-1}).
-    ``fallback_fired`` (T,) marks the members whose Q_t was replaced,
+    ``fallback_fired`` (T,) marks the members whose Q_t was replaced
+    and ``q_inv_effective`` (T, d, d) is each effective Q_t^-1,
     ``sigma_lam_max`` (T,) is the largest eigenvalue of each prior
     covariance Sigma_{t-1} and ``rho`` (T,) the spectral norm of each
     M_t, alpha lam_max / (alpha^2 lam_max + beta).
@@ -154,6 +154,7 @@ class DkfUpdates(NamedTuple):
     belief: GaussianBelief
     direction: np.ndarray
     fallback_fired: np.ndarray
+    q_inv_effective: np.ndarray
     sigma_lam_max: np.ndarray
     rho: np.ndarray
 
@@ -177,22 +178,17 @@ def _r_inverse(cfg, sigma_prev, eye):
     return sym(spd_solve(r, eye[None]))
 
 
-def _momentum(cfg, r_inv, sigma_prev):
-    """M_t = alpha R^-1 Sigma_{t-1} of one prior from its R^-1."""
-    return cfg.alpha * (r_inv @ sigma_prev)
-
-
 def momentum_matrix(cfg, sigma_prev):
     """M = alpha (alpha^2 sigma_prev + beta I)^-1 sigma_prev, with its spectral norm.
 
-    ``sigma_prev`` is one PD prior covariance (d, d). M is formed as in
-    ``dkf_update_info`` and the norm is taken from lam_max(sigma_prev)
-    exactly as the stacked ``_updates`` takes it, so each agrees bit for bit.
+    ``sigma_prev`` is one PD prior covariance (d, d). R^-1 and the norm
+    are computed exactly as the stacked ``_updates`` computes them, so
+    the norm agrees with its rho bit for bit.
     """
     sigma_prev = np.asarray(sigma_prev, dtype=float)
-    r_inv = _r_inverse(cfg, sigma_prev[None], np.eye(sigma_prev.shape[-1]))
-    m = _momentum(cfg, r_inv[0], sigma_prev)
-    return MomentumMatrix(m=m, rho=float(_momentum_norm(cfg, largest_eigenvalues(sigma_prev))))
+    r_inv = _r_inverse(cfg, sigma_prev[None], np.eye(sigma_prev.shape[-1]))[0]
+    return MomentumMatrix(m=cfg.alpha * (r_inv @ sigma_prev),
+                          rho=float(_momentum_norm(cfg, largest_eigenvalues(sigma_prev))))
 
 
 def _updates(cfg, prev, obs):
@@ -203,10 +199,9 @@ def _updates(cfg, prev, obs):
     must be PD, which is not checked. Follows the update literally:
     where Q^-1 - S^-1 is not PD, Q is replaced by (Q^-1 + S^-1)^-1
     before both the covariance and mean formulas are applied. Returns
-    ``(update, failures, q_inv_eff, r_inv)``: a DkfUpdates; a map from
-    the position of each member whose posterior stopped being PD to its
-    FilterDivergenceError; and the effective Q^-1 and the R^-1
-    (T, d, d) of every member. The fields of a failed member are not
+    ``(update, failures)``: a DkfUpdates and a map from the position of
+    each member whose posterior stopped being PD to its
+    FilterDivergenceError. The fields of a failed member are not
     meaningful. A member's result does not depend on the rest of the
     stack. The fallback test fails for many members by design, and
     numpy flags each such factorization as an invalid value: call this
@@ -246,10 +241,11 @@ def _updates(cfg, prev, obs):
         belief=GaussianBelief(mu=x[..., -1], sigma=sigma),
         direction=-rhs[..., 0],
         fallback_fired=fallback,
+        q_inv_effective=q_inv_eff,
         sigma_lam_max=lam_max,
         rho=_momentum_norm(cfg, lam_max),
     )
-    return update, failures, q_inv_eff, r_inv
+    return update, failures
 
 
 def dkf_update_info(cfg, prev, obs):
@@ -257,10 +253,9 @@ def dkf_update_info(cfg, prev, obs):
 
     Follows the update literally: when Q^-1 - S^-1 is not PD, Q is
     replaced by (Q^-1 + S^-1)^-1 before both the covariance and mean
-    formulas are applied. This is the one-trial case of ``_updates``,
-    with the same rho bit for bit; it also returns the momentum matrix
-    M_t, formed from the update's R^-1 as ``momentum_matrix`` forms it,
-    and the effective Q^-1. A prior
+    formulas are applied. This is the one-trial case of ``_updates``;
+    it also returns the effective Q^-1 and the momentum matrix M_t from
+    ``momentum_matrix``, whose rho is the update's bit for bit. A prior
     covariance that is not PD raises PositiveDefiniteError, and a
     posterior that is not PD raises FilterDivergenceError.
     """
@@ -272,15 +267,14 @@ def dkf_update_info(cfg, prev, obs):
     require_pd(prev.sigma)
 
     with np.errstate(invalid="ignore"):
-        upd, failures, q_inv_eff, r_inv = _updates(cfg, _members(prev, None), _members(obs, None))
+        upd, failures = _updates(cfg, _members(prev, None), _members(obs, None))
     if failures:
         raise failures[0]
     return DkfUpdate(
         belief=_members(upd.belief, 0),
         fallback_fired=bool(upd.fallback_fired[0]),
-        q_inv_effective=q_inv_eff[0],
-        momentum=MomentumMatrix(m=_momentum(cfg, r_inv[0], np.asarray(prev.sigma, dtype=float)),
-                                rho=float(upd.rho[0])),
+        q_inv_effective=upd.q_inv_effective[0],
+        momentum=momentum_matrix(cfg, prev.sigma),
     )
 
 

@@ -28,8 +28,9 @@ at every other d.
 The choice is never made by the stack size: the two kernels round
 differently, so a trial must meet the same kernel alone as in a stack
 to get the same bits. Only ``try_cholesky``, whose callers receive the
-factor, returns one; after ``require_pd``'s test it makes one LAPACK
-call (``cholesky_lower``) at every d.
+factor, returns one: it makes one LAPACK call (``cholesky_lower``) at
+every d and takes its PD test from the pivots of that factor, which at
+d = 2 has the bits of the closed form, so it decides as ``pd_mask``.
 
 Positive definiteness is decided by a scale-aware pivot threshold, see
 ``pd_tolerance``. Matrix sums and products that are symmetric in exact
@@ -192,10 +193,13 @@ def try_cholesky(m):
 
     Non-finite input raises ValueError, as there.
     """
-    try:
-        return cholesky_lower(require_pd(m))
-    except PositiveDefiniteError:
-        return None
+    m = _as_square(m)
+    # A failed factorization is filled with nan, which fails the pivot
+    # test; one far from PD can overflow.
+    with np.errstate(invalid="ignore", over="ignore"):
+        factor = cholesky_lower(m)
+        piv = factor.diagonal().min()
+        return factor if piv * piv > pd_tolerance(m) else None
 
 
 def spd_solve(m, b):

@@ -1,8 +1,8 @@
 """Backtracking line search over dyadic step lengths.
 
-Trial step lengths are 1, 1/2, ..., 2**-max_halvings, accepted on a
-sufficient-decrease test with constant ``c``. The defaults (c = 0.95,
-five trial lengths) are deliberately strict; both are configurable.
+Trial step lengths are the five fixed ``STEP_LENGTHS`` 1, 1/2, ..., 1/16,
+accepted on a sufficient-decrease test with constant ``c``. The default
+c = 0.95 is deliberately strict and configurable; the step lengths are not.
 
 ``armijo_search`` runs the searches of a whole stack of trials at once
 on the decreases h(theta0 + lam*v) - h(theta0) of every trial's
@@ -18,8 +18,6 @@ trial's accepted candidate are never looked at, so they cannot fail its
 search.
 """
 
-import functools
-
 import numpy as np
 
 from .objectives import NumericalError
@@ -28,15 +26,16 @@ __all__ = ["armijo_search", "armijo_backtrack"]
 
 DEFAULT_SUFFICIENT_DECREASE = 0.95
 DEFAULT_MAX_HALVINGS = 4
+STEP_LENGTHS = 2.0 ** -np.arange(DEFAULT_MAX_HALVINGS + 1.0)
+STEP_LENGTHS.flags.writeable = False
 
 
-def armijo_search(decrease, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
-                  max_halvings=DEFAULT_MAX_HALVINGS):
+def armijo_search(decrease, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE):
     """Per trial, the first dyadic lam with h(theta0 + lam*v) - h(theta0) <= c*lam*<v, m>.
 
     ``theta0``, ``v`` (search directions) and ``m`` (gradients of h at
     theta0) are (T, d) stacks. ``decrease`` maps the (k,) step lengths
-    lam = 2**-k, k = 0..max_halvings, to the (T, k) decreases
+    ``STEP_LENGTHS`` to the (T, k) decreases
     h(theta0 + lam*v) - h(theta0), row t on trial t's objective, and is
     called exactly once. A trial whose candidates all fail takes the
     last one. Returns ``(lams, satisfied, failures)``: the (T,) step
@@ -45,9 +44,8 @@ def armijo_search(decrease, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
     position of each trial whose decrease is non-finite at a candidate up
     to the one it would take, to its NumericalError.
     """
-    lams = _step_lengths(max_halvings)
-    decreases = decrease(lams)
-    passed = decreases <= (c * lams) * np.vecdot(v, m)[:, None]
+    decreases = decrease(STEP_LENGTHS)
+    passed = decreases <= (c * STEP_LENGTHS) * np.vecdot(v, m)[:, None]
     # The taken candidate passed exactly when any did.
     satisfied = passed.any(axis=1)
     # A trial whose candidates all fail takes the last one.
@@ -60,27 +58,19 @@ def armijo_search(decrease, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
             bad = np.flatnonzero(~finite[i])[0]
             if bad <= taken[i]:
                 failures[i] = NumericalError(
-                    f"objective is non-finite at trial step length {lams[bad]}",
-                    theta=theta0[i] + lams[bad] * v[i])
-    return lams[taken], satisfied, failures
+                    f"objective is non-finite at trial step length {STEP_LENGTHS[bad]}",
+                    theta=theta0[i] + STEP_LENGTHS[bad] * v[i])
+    return STEP_LENGTHS[taken], satisfied, failures
 
 
-@functools.lru_cache(maxsize=None)
-def _step_lengths(max_halvings):
-    lams = 2.0 ** -np.arange(max_halvings + 1.0)
-    lams.flags.writeable = False
-    return lams
-
-
-def armijo_backtrack(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
-                     max_halvings=DEFAULT_MAX_HALVINGS):
+def armijo_backtrack(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE):
     """First dyadic step length lam with h(theta0 + lam*v) - h(theta0) <= c*lam*<v, m>.
 
     ``h`` is the (batch) objective, applied row-wise: it maps a (k, d)
     stack of points to their k values. ``v`` is the search direction and
     ``m`` the gradient of h at theta0. ``h`` is called exactly once, on
-    theta0 followed by the candidates theta0 + lam*v for lam = 2**-k,
-    k = 0..max_halvings. The first candidate that passes is returned; if
+    theta0 followed by the candidates theta0 + lam*v for lam in
+    ``STEP_LENGTHS``. The first candidate that passes is returned; if
     none passes, the last one is. NumericalError is raised when h is
     non-finite at theta0 or at a candidate up to the returned one. This
     is the one-trial case of ``armijo_search``.
@@ -95,7 +85,7 @@ def armijo_backtrack(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE,
         return values[None, 1:] - values[0]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        taken, _, failures = armijo_search(decrease, theta0, v, m, c, max_halvings)
+        taken, _, failures = armijo_search(decrease, theta0, v, m, c)
     if failures:
         raise failures[0]
     return float(taken[0])

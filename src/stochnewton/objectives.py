@@ -157,14 +157,17 @@ def _gram(xs, weights=None):
 class SubsampledObjective:
     """Base class for averaged log-loss objectives.
 
-    Subclasses set ``n`` and ``d`` and implement the vectorized kernel
-    ``row_terms``. Sums over a batch are formed by ``batch_sums`` in the
-    order of the given indices, which callers sort ascending. Per-sample
-    Hessians must be symmetric positive semidefinite.
+    Subclasses set ``n`` and ``d`` (and ``rank_one_hessians`` when every
+    per-sample Hessian has rank at most one) and implement the
+    vectorized kernel ``row_terms``. Sums over a batch are formed by
+    ``batch_sums`` in the order of the given indices, which callers sort
+    ascending. Per-sample Hessians must be symmetric positive
+    semidefinite.
     """
 
     n: int
     d: int
+    rank_one_hessians = False
 
     def row_terms(self, theta, idx, derivatives=True):
         """Per-sample terms of the samples ``idx[k, ...]`` at ``theta[..., :]``.
@@ -247,17 +250,19 @@ class SubsampledObjective:
         return g, h
 
 
-def _regularize_hessians(q):
+def _regularize_hessians(q, maybe_pd):
     """Ridge almost-PSD batch Hessians until Cholesky succeeds.
 
-    ``q`` is a (T, d, d) stack, changed in place. Every finite member
-    that is not PD gets eps*I added, with eps = 1e-8 * (1 + trace(q)/d)
+    ``q`` is a (T, d, d) stack, changed in place, and ``maybe_pd`` a
+    (T,) mask, or True, that is False where a member is known singular.
+    Every finite member that is not PD or not ``maybe_pd`` gets eps*I
+    added, with eps = 1e-8 * (1 + trace(q)/d)
     (``scaled_trace``, finite even where the trace overflows), doubling
     eps up to ten times before giving up. Returns (q, PD mask,
     eps), where ``eps`` (T,) is the ridge that made each member PD, 0
     where none was added or none sufficed.
     """
-    ok = pd_mask(q)
+    ok = pd_mask(q) & maybe_pd
     ridge = np.zeros(len(q))
     if ok.all():
         return q, ok, ridge
@@ -314,14 +319,19 @@ def evaluate_batches(obj, theta, idx):
     ``failures`` maps the position of each member that failed to its
     NumericalError (non-finite sums) or PositiveDefiniteError (ridge
     exhausted); the fields of a failed member are not meaningful. A
-    member's result does not depend on the rest of the stack.
+    member's result does not depend on the rest of the stack. With
+    ``rank_one_hessians`` a batch of fewer than d distinct indices is
+    singular and ridged untested: the pivot test misses rank at d > 2.
     Floating-point warnings (overflow, and the invalid value numpy flags
     for a failed factorization) follow the caller's ``np.errstate``;
     ``evaluate_batch`` and ``optim.run_trials`` silence them.
     """
     value, f, q = obj.batch_sums(theta, idx)
     size = idx.shape[-1]
-    q, pd, ridge_eps = _regularize_hessians(sym(q / size))
+    # d distinct indices are d - 1 rises along the sorted batch.
+    maybe_pd = (not obj.rank_one_hessians
+                or (idx[..., 1:] != idx[..., :-1]).sum(axis=-1) >= obj.d - 1)
+    q, pd, ridge_eps = _regularize_hessians(sym(q / size), maybe_pd)
     failures = {}
     # A non-finite Hessian never passes as PD, so the per-member masks
     # are formed only when a test on the whole stack fails.
@@ -409,6 +419,8 @@ class LeastSquaresObjective(SubsampledObjective):
     The batch objective is therefore exactly quadratic, and
     ``step_decreases`` needs no evaluation.
     """
+
+    rank_one_hessians = True
 
     def __init__(self, data):
         self.data = data
@@ -591,6 +603,8 @@ class GlmObjective(SubsampledObjective):
     so a batch Hessian is X_b^T diag(A''(eta)) X_b. The identity-link
     Gaussian case coincides with least squares.
     """
+
+    rank_one_hessians = True
 
     def __init__(self, data):
         self.data = data

@@ -103,13 +103,11 @@ class TrialTrace:
 class _RunRecords(Sequence):
     """The StepRecords of the first ``steps`` steps of a one-run view (``trace.select(0)``).
 
-    ``batches`` (steps, b) holds each step's batch as drawn, and
-    ``filtered`` says whether the run was filtered, so that every step
-    after the first was a filter update.
+    ``batches`` (steps, b) holds each step's batch as drawn.
     """
 
-    def __init__(self, view, batches, steps, filtered):
-        self._view, self._batches, self._steps, self._filtered = view, batches, steps, filtered
+    def __init__(self, view, batches, steps):
+        self._view, self._batches, self._steps = view, batches, steps
 
     def __len__(self):
         return self._steps
@@ -118,7 +116,7 @@ class _RunRecords(Sequence):
         if isinstance(index, slice):
             return [self[s] for s in range(*index.indices(self._steps))]
         s = range(self._steps)[index]
-        return _record(self._view, s, s + 1, self._batches[s], self._filtered and s > 0)
+        return _record(self._view, s, s + 1, self._batches[s])
 
 
 class StepError(RuntimeError):
@@ -203,7 +201,7 @@ def _empty_trace(count, steps, d):
     )
 
 
-def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
+def _stacked_step(obj, cfg, theta, idx, belief, trace, rows, s):
     """One step of a stack, written into column ``s`` of the runs ``rows`` of ``trace``.
 
     ``theta`` (T, d) holds the iterates and ``idx`` (T, b) the ascending
@@ -220,14 +218,14 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
     """
     obs, failures = evaluate_batches(obj, theta, idx)
     newton = obs.newton_direction()
-    if not filtered:
+    if cfg.filter is None:
         direction = newton
     elif belief is None:
         # The first filtered step takes the unfiltered direction bit for bit.
         belief = init_belief(obs)
         direction = newton
     else:
-        upd, diverged = _updates(cfg.filter, belief, obs)[:2]
+        upd, diverged = _updates(cfg.filter, belief, obs)
         for i, err in diverged.items():
             failures.setdefault(i, err)
         belief, direction = upd.belief, upd.direction
@@ -250,12 +248,13 @@ def _stacked_step(obj, cfg, filtered, theta, idx, belief, trace, rows, s):
     return theta, belief, failures
 
 
-def _record(view, s, t, batch, update):
+def _record(view, s, t, batch):
     """StepRecord of step t from column ``s`` of a one-run view (``trace.select(0)``).
 
-    ``update`` says whether the step was a filter update, the only steps
-    that record rho_m and fallback_fired.
+    Only a filter update records rho_m and fallback_fired: a step is one
+    exactly where its rho is not nan.
     """
+    update = not np.isnan(view.rho[s])
     return StepRecord(
         t=t,
         theta_before=view.thetas[s],
@@ -269,7 +268,7 @@ def _record(view, s, t, batch, update):
     )
 
 
-def _one_step(obj, theta_prev, batch, belief_prev, cfg, filtered, t):
+def _one_step(obj, theta_prev, batch, belief_prev, cfg, t):
     """Step t of one trial, on a one-step trace; returns (record, belief)."""
     theta, idx = _one_trial(obj, theta_prev, batch)
     trace = _empty_trace(1, 1, obj.d)
@@ -277,17 +276,16 @@ def _one_step(obj, theta_prev, batch, belief_prev, cfg, filtered, t):
     if belief_prev is not None:
         belief_prev = _members(belief_prev, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, belief, failures = _stacked_step(obj, cfg, filtered, theta, idx, belief_prev, trace,
-                                            slice(None), 0)
+        _, belief, failures = _stacked_step(obj, cfg, theta, idx, belief_prev, trace, slice(None), 0)
     if failures:
         raise failures[0]
-    record = _record(trace.select(0), 0, t, batch, belief_prev is not None)
+    record = _record(trace.select(0), 0, t, batch)
     return record, None if belief is None else _members(belief, 0)
 
 
 def unfiltered_step(obj, theta_prev, batch, cfg, t=1):
-    """One batch Newton step along -Q_t^-1 f_t."""
-    return _one_step(obj, theta_prev, batch, None, cfg, False, t)[0]
+    """One batch Newton step along -Q_t^-1 f_t; a filtered ``cfg`` gives the same record."""
+    return _one_step(obj, theta_prev, batch, None, cfg, t)[0]
 
 
 def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
@@ -296,11 +294,14 @@ def filtered_step(obj, theta_prev, batch, belief_prev, cfg, t=1):
     ``belief_prev`` of None means this is the first step, which
     initializes the belief from the batch observation and therefore
     takes the unfiltered direction bit for bit. A prior covariance that
-    is not PD raises PositiveDefiniteError.
+    is not PD raises PositiveDefiniteError, and a ``cfg`` without a
+    filter ValueError.
     """
+    if cfg.filter is None:
+        raise ValueError("filtered_step needs a cfg with a filter")
     if belief_prev is not None:
         require_pd(belief_prev.sigma)
-    return _one_step(obj, theta_prev, batch, belief_prev, cfg, True, t)
+    return _one_step(obj, theta_prev, batch, belief_prev, cfg, t)
 
 
 def run_trials(obj, theta0, batches, cfg):
@@ -322,15 +323,14 @@ def run_trials(obj, theta0, batches, cfg):
     trace = _empty_trace(count, steps, obj.d)
     trace.thetas[:, 0] = theta
 
-    filtered = cfg.filter is not None
     # Positions of the trials still running: all of them, as a slice,
     # until one fails.
     live = slice(None)
     belief = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, steps + 1):
-            theta, belief, failures = _stacked_step(obj, cfg, filtered, theta, idx[live, t - 1],
-                                                    belief, trace, live, t - 1)
+            theta, belief, failures = _stacked_step(obj, cfg, theta, idx[live, t - 1], belief,
+                                                    trace, live, t - 1)
             if failures:
                 members = np.arange(count)[live]
                 keep = np.ones(len(members), dtype=bool)
@@ -362,8 +362,7 @@ def run(obj, theta0, cfg, rng):
     stacked = run_trials(obj, theta0, batches[None], cfg)
     failed = int(stacked.failed_step[0])
     trace = TrialTrace(records=_RunRecords(stacked.select(0), batches,
-                                           failed - 1 if failed else cfg.max_steps,
-                                           cfg.filter is not None))
+                                           failed - 1 if failed else cfg.max_steps))
     if failed:
         raise StepError(failed, trace) from stacked.errors[0]
     return trace

@@ -111,6 +111,14 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_batch_of_fewer_distinct_samples_than_d_is_ridged_not_failed(tmp_path):
+    # At batch = d many batches repeat an index and so have a singular
+    # Hessian, which must be ridged rather than fail the filter.
+    code = main(["run-paired", "--n", "100", "--d", "5", "--batch", "5", "--trials", "50",
+                 "--seed", "0", "--out", str(tmp_path / "d5")])
+    assert code == 0
+
+
 def test_positive_definite_failure_is_a_numerical_failure(monkeypatch):
     # PositiveDefiniteError is a ValueError too; it must not read as an input error.
     def not_pd(cfg, workers=1):

@@ -259,7 +259,7 @@ def test_curve_lengths_match_steps():
     assert result.stats.steps == cfg.steps
     assert result.curves.filtered.mean_rho is not None
     assert np.isnan(result.curves.filtered.mean_rho[0])  # no momentum at step 1
-    assert result.curves.unfiltered.mean_rho is None
+    assert np.isnan(result.curves.unfiltered.mean_rho).all()
 
 
 @pytest.mark.parametrize("d", [2, 5])

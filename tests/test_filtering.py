@@ -387,7 +387,7 @@ def stacked_update(cfg, prev, observation):
     # The fallback test fails for many members by design; numpy flags
     # each such factorization as an invalid value.
     with np.errstate(invalid="ignore"):
-        return _updates(cfg, prev, observation)[:2]
+        return _updates(cfg, prev, observation)
 
 
 @settings(max_examples=60, deadline=None)

@@ -79,12 +79,6 @@ def test_fallback_returns_last_trial_value():
     assert lam == 1.0 / 16.0
 
 
-def test_more_halvings_extend_the_grid():
-    lam = armijo_backtrack(QUADRATIC, np.array([1.0]), np.array([5.0]),
-                           np.array([1.0]), max_halvings=6)
-    assert lam == 2.0 ** -6
-
-
 def test_non_finite_evaluation_raises():
     def h(th):
         return np.where(th[:, 0] < 1.0, np.inf, th[:, 0])

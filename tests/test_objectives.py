@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stochnewton.experiment import ExperimentConfig, generate_data
 from stochnewton.linalg import PositiveDefiniteError, solve_spd, sym
 from stochnewton.objectives import (
     BatchObservation,
@@ -24,6 +25,7 @@ from stochnewton.objectives import (
     load_least_squares_csv,
     sample_batch,
 )
+from stochnewton.streams import DATA_STREAM, derive_stream
 
 from helpers import eig_extremes, finite_difference_gradient, finite_difference_hessian, is_pd
 
@@ -79,6 +81,38 @@ def test_least_squares_single_sample_at_zero():
     assert obs.value == pytest.approx(2.0)
 
 
+def test_a_batch_with_a_repeated_index_at_d5_is_ridged():
+    # A batch of the run-paired data at n 100, d 5, seed 0 whose rank-4
+    # Hessian the pivot test accepts, so that without the ridge the
+    # filter fails. A least-squares Hessian does not depend on theta.
+    cfg = ExperimentConfig(n=100, d=5, batch_size=5, master_seed=0)
+    obj = LeastSquaresObjective(generate_data(cfg, derive_stream(0, DATA_STREAM)))
+    obs = evaluate_batch(obj, np.zeros(5), [19, 34, 76, 76, 92])
+    assert obs.ridge_eps > 0
+    assert not evaluate_batch(obj, np.zeros(5), [19, 34, 76, 77, 92]).ridge_eps
+
+
+def test_only_rank_one_objectives_ridge_by_distinct_count():
+    assert LeastSquaresObjective.rank_one_hessians and GlmObjective.rank_one_hessians
+    assert not ExpFamilyObjective.rank_one_hessians
+    # An exponential family's per-sample Hessian is hess_a(theta), here I.
+    obj = ExpFamilyObjective(gaussian_family(d=2), np.arange(6.0).reshape(3, 2))
+    obs = evaluate_batch(obj, np.zeros(2), [1, 1])
+    assert obs.ridge_eps == 0
+    assert_allclose(obs.q, np.eye(2))
+
+
+def test_collinear_distinct_rows_are_left_to_the_pivot_test():
+    # A known limit: three distinct rows of rank two at d = 3 (the third
+    # is twice the first) give a singular Hessian that the pivot test of
+    # an unpivoted Cholesky factor accepts, so no ridge is added.
+    a = np.array([1.538, 0.769, -0.287])
+    xs = np.array([a, [0.518, 0.261, -0.275], 2 * a])
+    assert np.linalg.matrix_rank(xs) == 2
+    obj = LeastSquaresObjective(LeastSquaresData(xs=xs, ys=np.zeros(3)))
+    assert evaluate_batch(obj, np.zeros(3), [0, 1, 2]).ridge_eps == 0
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_ridge_of_a_finite_hessian_whose_trace_overflows_is_finite(d):
     # The rank-one Hessian with every entry 1e308 is finite, but its
@@ -87,7 +121,7 @@ def test_ridge_of_a_finite_hessian_whose_trace_overflows_is_finite(d):
     # invalid-value flag of the failed factorization at d = 3 is
     # silenced; the error filter turns an overflow warning into a failure.
     with np.errstate(invalid="ignore"):
-        q, ok, eps = _regularize_hessians(np.full((1, d, d), 1e308))
+        q, ok, eps = _regularize_hessians(np.full((1, d, d), 1e308), True)
     assert ok.all()
     assert eps[0] == pytest.approx(1e300, rel=1e-12)
     assert is_pd(q[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stochnewton.experiment import ExperimentConfig, _draw_batches, generate_data
 from stochnewton.filtering import FilterConfig, GaussianBelief, dkf_update_info, init_belief
 from stochnewton.objectives import (
     ExpFamilyObjective,
@@ -18,7 +19,7 @@ from stochnewton.objectives import (
     evaluate_batch,
     sample_batch,
 )
-from stochnewton.line_search import _step_lengths, armijo_backtrack
+from stochnewton.line_search import STEP_LENGTHS, armijo_backtrack
 from stochnewton.linalg import pd_mask, solve_spd, sym
 from stochnewton.optim import (
     OptimizerConfig,
@@ -28,7 +29,7 @@ from stochnewton.optim import (
     run_trials,
     unfiltered_step,
 )
-from stochnewton.streams import derive_stream
+from stochnewton.streams import DATA_STREAM, derive_stream
 
 
 class ScalarQuadratic(SubsampledObjective):
@@ -475,7 +476,7 @@ def test_each_step_evaluates_the_origin_once_and_the_candidates_once(case, filte
     quadratic = isinstance(obj, LeastSquaresObjective)
     per_step = [((count, obj.d), True)] + ([] if quadratic else [((count, 5, obj.d), False)])
     assert [(theta.shape, derivatives) for theta, derivatives in calls] == per_step * steps
-    lams = _step_lengths(4)
+    lams = STEP_LENGTHS
     for s in range(steps):
         step = calls[len(per_step) * s:]
         assert np.array_equal(step[0][0], trace.thetas[:, s])
@@ -528,6 +529,66 @@ def test_every_step_length_is_the_one_point_search(case):
                 satisfied[i, s] = after - before <= (c * lam) * np.vecdot(v, f)
         assert np.array_equal(trace.step_lengths, expected)
         assert np.array_equal(trace.armijo_satisfied, satisfied)
+
+
+# ---------------------------------------------------------------------------
+# what the trace says of each step
+# ---------------------------------------------------------------------------
+
+def _setting(name):
+    """(obj, experiment config, batches) of a 40-trial benchmark run at the
+    default settings or at the golden ridge-d2 settings (n 20, batch 2)."""
+    cfg = ExperimentConfig(trials=40, **({} if name == "default" else dict(n=20, batch_size=2)))
+    obj = LeastSquaresObjective(generate_data(cfg, derive_stream(cfg.master_seed, DATA_STREAM)))
+    return obj, cfg, _draw_batches(cfg)
+
+
+def _trace(setting, filtered):
+    obj, cfg, batches = _setting(setting)
+    trace = run_trials(obj, cfg.theta0, batches, cfg.optimizer_config(filtered))
+    assert not trace.failed_step.any()
+    return trace
+
+
+@pytest.mark.parametrize("setting", ["default", "ridge-d2"])
+def test_rho_is_finite_exactly_at_filter_updates(setting):
+    # A step's record holds rho_m and fallback_fired exactly where the
+    # trace's rho is not nan, so rho must mark the filter updates.
+    assert np.isnan(_trace(setting, False).rho).all()
+    trace = _trace(setting, True)
+    fcfg = _setting(setting)[1].filter_config()
+    update = np.ones(trace.rho.shape, dtype=bool)
+    update[:, 0] = False
+    assert np.array_equal(np.isfinite(trace.rho), update)
+    lam = trace.sigma_lam_max[update]
+    assert np.array_equal(trace.rho[update],
+                          fcfg.alpha * lam / (fcfg.alpha ** 2 * lam + fcfg.beta))
+
+
+@pytest.mark.parametrize("setting", ["default", "ridge-d2"])
+def test_unfiltered_least_squares_takes_the_fixed_step(setting):
+    # Along -Q^-1 f the exact quadratic passes the c = 0.95 test exactly
+    # when lam <= 2 (1 - c) = 0.1, so of the five lengths only 1/16 does.
+    trace = _trace(setting, False)
+    assert (trace.step_lengths == 1.0 / 16.0).all()
+    assert trace.armijo_satisfied.all()
+    assert setting == "default" or trace.ridge_eps.any()
+
+
+@pytest.mark.parametrize("setting", ["default", "ridge-d2"])
+def test_unfiltered_step_ignores_the_filter(setting):
+    obj, cfg, batches = _setting(setting)
+    for batch in batches[:3].reshape(-1, cfg.batch_size):
+        plain = unfiltered_step(obj, cfg.theta0, batch, cfg.optimizer_config(False))
+        _assert_same_record(unfiltered_step(obj, cfg.theta0, batch, cfg.optimizer_config(True)),
+                            plain)
+        assert plain.rho_m is None and plain.fallback_fired is None
+
+
+def test_filtered_step_needs_a_filter():
+    obj, cfg, batches = _setting("ridge-d2")
+    with pytest.raises(ValueError, match="filter"):
+        filtered_step(obj, cfg.theta0, batches[0, 0], None, cfg.optimizer_config(False))
 
 
 # ---------------------------------------------------------------------------

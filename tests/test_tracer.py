@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stochnewton import filtering, objectives, optim
+from stochnewton import filtering, line_search, objectives, optim
 from stochnewton.filtering import FilterConfig
 from stochnewton.objectives import LeastSquaresData, LeastSquaresObjective
 from stochnewton.optim import OptimizerConfig
@@ -40,3 +40,17 @@ def test_tracer_wraps_and_restores_the_names_it_binds():
     spans, counts = traced.totals()
     assert spans["optim.run"][0] == 1
     assert counts["filter_updates"] == cfg.max_steps - 1
+
+
+def test_tracer_counts_a_search_that_takes_the_last_step_length():
+    # The tracer counts a search that returns the smallest step length,
+    # 2 ** -DEFAULT_MAX_HALVINGS, as one that ran out of halvings.
+    tracer = _load_tracer()
+    with tracer.Tracer() as traced:
+        lam = line_search.armijo_backtrack(lambda th: 0.5 * th[:, 0] ** 2, np.array([1.0]),
+                                           np.array([-1.0]), np.array([1.0]))
+    assert lam == 1.0 / 16.0
+    spans, counts = traced.totals()
+    assert spans["line_search.armijo_backtrack"][0] == 1
+    assert counts["min_step"] == 1
+    assert counts["h_evals"] == 1
