@@ -15,6 +15,8 @@ import sys
 import numpy as np
 
 from .experiment import (
+    RHO_MONITOR_MIN_STEP,
+    RHO_MONITOR_THRESHOLD,
     ExperimentConfig,
     TooManyFailuresError,
     emit_csv,
@@ -43,8 +45,19 @@ def _vector(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from err
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _add_problem_flags(parser, with_trials=True):
-    # Every default, and the type it parses as, is ExperimentConfig's.
+    # Every default is ExperimentConfig's, and so is the type it parses
+    # as, but for the seed: a stream key is a non-negative integer.
     default = ExperimentConfig()
     for flag, name, text in (("n", "n", "sample count"), ("d", "d", "parameter dimension"),
                              ("batch", "batch_size", "batch size"),
@@ -55,7 +68,8 @@ def _add_problem_flags(parser, with_trials=True):
                              ("seed", "master_seed", "master seed")):
         if with_trials or flag != "trials":
             value = getattr(default, name)
-            parser.add_argument(f"--{flag}", type=type(value), default=value,
+            kind = _nonnegative_int if flag == "seed" else type(value)
+            parser.add_argument(f"--{flag}", type=kind, default=value,
                                 help=f"{text} (default %(default)s)")
     parser.add_argument("--theta0", type=_vector, default=None,
                         help="start point, comma-separated (default 4.0,-2.0 pattern)")
@@ -90,10 +104,10 @@ def _cmd_run_paired(args):
         print(f"{i + 1:4d}  {result.stats.mse_unfiltered[i]:14.6f}  "
               f"{result.stats.mse_filtered[i]:12.6f}")
     monitor = rho_monitor_summary(result.filtered.rho)
-    late = monitor.step_max[monitor.min_step:]
+    late = monitor.step_max[RHO_MONITOR_MIN_STEP:]
     if late.size and not np.isnan(late).all():
-        print(f"max rho(M_t) for t > {monitor.min_step}: {np.nanmax(late):.6f} "
-              f"({len(monitor.violations)} steps at or above {monitor.threshold})")
+        print(f"max rho(M_t) for t > {RHO_MONITOR_MIN_STEP}: {np.nanmax(late):.6f} "
+              f"({len(monitor.violations)} steps at or above {RHO_MONITOR_THRESHOLD})")
     print(f"wrote {args.out}.table1.csv and {args.out}.curves.csv")
     return 0
 
@@ -156,7 +170,8 @@ def build_parser():
 
     tr = sub.add_parser("trace", help="print a verbose single-trial trace")
     _add_problem_flags(tr, with_trials=False)
-    tr.add_argument("--trial", type=int, default=0, help="trial index for the batch stream")
+    tr.add_argument("--trial", type=_nonnegative_int, default=0,
+                    help="trial index for the batch stream")
     tr.set_defaults(func=_cmd_trace)
     return parser
 

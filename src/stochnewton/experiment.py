@@ -49,6 +49,8 @@ __all__ = [
     "angular_errors",
     "signed_angular_error",
     "run_paired_trials",
+    "RHO_MONITOR_THRESHOLD",
+    "RHO_MONITOR_MIN_STEP",
     "RhoMonitorSummary",
     "rho_monitor_summary",
     "emit_csv",
@@ -79,9 +81,9 @@ def default_theta0(d):
 class ExperimentConfig:
     """Benchmark parameters; the defaults are the reference setup.
 
-    ``generate_data`` fixes the data recipe but for ``noise_var`` and
-    ``theta_true`` (None: all ones); ``theta0`` of None is
-    ``default_theta0``. The line search keeps OptimizerConfig's defaults.
+    ``generate_data`` fixes the data recipe but for ``theta_true``
+    (None: all ones); ``theta0`` of None is ``default_theta0``. The line
+    search keeps OptimizerConfig's defaults.
     """
 
     n: int = 100
@@ -91,7 +93,6 @@ class ExperimentConfig:
     trials: int = 1000
     alpha: float = 0.9
     beta: float = 0.2
-    noise_var: float = 1.0
     master_seed: int = 0
     theta_true: Optional[np.ndarray] = None
     theta0: Optional[np.ndarray] = None
@@ -99,8 +100,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if min(self.n, self.d, self.batch_size, self.steps, self.trials) < 1:
             raise ValueError("n, d, batch_size, steps, and trials must all be >= 1")
-        if self.noise_var < 0.0:
-            raise ValueError("noise_var must be nonnegative")
         if self.theta_true is None:
             self.theta_true = np.ones(self.d)
         self.theta_true = np.asarray(self.theta_true, dtype=float).ravel()
@@ -127,15 +126,14 @@ class ExperimentConfig:
 
 
 def generate_data(cfg, rng):
-    """Synthetic regression data: y = theta_true.x + N(1, noise_var).
+    """Synthetic regression data: y = theta_true.x + N(1, 1).
 
     x ~ N(0, C) with C the unit-variance, 0.1-correlation matrix of
     ``default_covariate_cov``.
     """
     chol = np.linalg.cholesky(default_covariate_cov(cfg.d))
     xs = rng.standard_normal((cfg.n, cfg.d)) @ chol.T
-    noise = 1.0 + math.sqrt(cfg.noise_var) * rng.standard_normal(cfg.n)
-    return LeastSquaresData(xs=xs, ys=xs @ cfg.theta_true + noise)
+    return LeastSquaresData(xs=xs, ys=xs @ cfg.theta_true + (1.0 + rng.standard_normal(cfg.n)))
 
 
 def exact_mle(data):
@@ -406,34 +404,34 @@ def run_paired_trials(cfg, workers=1):
     )
 
 
+RHO_MONITOR_THRESHOLD = 0.8
+RHO_MONITOR_MIN_STEP = 5
+
+
 @dataclass(frozen=True)
 class RhoMonitorSummary:
     """Per-step maxima of the momentum spectral norm over traces."""
 
     step_max: np.ndarray
-    threshold: float
-    min_step: int
     violations: List[int]
 
 
-def rho_monitor_summary(traces, threshold=0.8, min_step=5):
+def rho_monitor_summary(traces):
     """Max rho(M_t) per step over filtered runs, flagging late violations.
 
     ``traces`` is the (trials, steps) array of the runs' rho_m values,
     with nan where there is none, as in ``StackedTrace.rho``. A step
-    t > min_step is flagged when its maximum reaches the threshold.
-    Steps with no momentum matrix (the first step) hold nan and are
-    never flagged.
+    t > RHO_MONITOR_MIN_STEP is flagged when its maximum reaches
+    RHO_MONITOR_THRESHOLD. Steps with no momentum matrix (the first
+    step) hold nan and are never flagged.
     """
     step_max = np.fmax.reduce(traces, axis=0, initial=np.nan)
     steps = step_max.shape[0]
     violations = [
-        t for t in range(min_step + 1, steps + 1)
-        if not np.isnan(step_max[t - 1]) and step_max[t - 1] >= threshold
+        t for t in range(RHO_MONITOR_MIN_STEP + 1, steps + 1)
+        if not np.isnan(step_max[t - 1]) and step_max[t - 1] >= RHO_MONITOR_THRESHOLD
     ]
-    return RhoMonitorSummary(
-        step_max=step_max, threshold=threshold, min_step=min_step, violations=violations
-    )
+    return RhoMonitorSummary(step_max=step_max, violations=violations)
 
 
 def _fmt(x):

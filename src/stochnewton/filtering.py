@@ -88,9 +88,9 @@ class FilterDivergenceError(RuntimeError):
 class FilterConfig:
     """Smoothing parameters of the AR(1) state model.
 
-    Requires 0 < alpha < 1 and beta > 0; ``s_scalar`` is the stationary
-    variance beta / (1 - alpha^2), so the stationary covariance is
-    s_scalar * I.
+    Requires 0 < alpha < 1 and a finite beta > 0; ``s_scalar`` is the
+    stationary variance beta / (1 - alpha^2), so the stationary
+    covariance is s_scalar * I.
     """
 
     alpha: float
@@ -100,8 +100,8 @@ class FilterConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not (self.beta > 0.0):
-            raise ValueError("beta must be positive")
+        if not (0.0 < self.beta < np.inf):
+            raise ValueError("beta must be positive and finite")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
@@ -296,8 +296,8 @@ def check_contraction_bound(cfg, lam_min, lam_max):
     every momentum matrix built from covariances with eigenvalues in
     [lam_min, lam_max] is a contraction.
     """
-    if not (0.0 < lam_min <= lam_max):
-        raise ValueError("need 0 < lam_min <= lam_max")
+    if not (0.0 < lam_min <= lam_max < np.inf):
+        raise ValueError("need finite 0 < lam_min <= lam_max")
     denom = cfg.alpha ** 2 * lam_min + cfg.beta
     bound = cfg.alpha * lam_max / denom
     return ContractionCheck(satisfied=cfg.alpha * lam_max < denom, bound=bound)

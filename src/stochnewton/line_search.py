@@ -5,13 +5,12 @@ accepted on a sufficient-decrease test with constant ``c``. The default
 c = 0.95 is deliberately strict and configurable; the step lengths are not.
 
 ``armijo_search`` runs the searches of a whole stack of trials at once
-on the decreases h(theta0 + lam*v) - h(theta0) of every trial's
-candidates, which the caller forms as one (T, k) array from the step
-lengths: the optimizer asks the objective for them
-(``SubsampledObjective.step_decreases``), and least squares forms them
-from its exact quadratic without evaluating any candidate. Each trial
-takes its own first passing candidate, and reports whether that
-candidate passed or the search ran out of halvings.
+on the (T, k) array of decreases h(theta0 + lam*v) - h(theta0) of every
+trial's candidates at the step lengths: the optimizer asks the
+objective for that array (``SubsampledObjective.step_decreases``), and
+least squares forms it from its exact quadratic without evaluating any
+candidate. Each trial takes its own first passing candidate, and
+reports whether that candidate passed or the search ran out of halvings.
 ``armijo_backtrack`` is its one-trial case, with an objective that it
 evaluates once on the origin and the candidates. Decreases past a
 trial's accepted candidate are never looked at, so they cannot fail its
@@ -30,21 +29,20 @@ STEP_LENGTHS = 2.0 ** -np.arange(DEFAULT_MAX_HALVINGS + 1.0)
 STEP_LENGTHS.flags.writeable = False
 
 
-def armijo_search(decrease, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE):
+def armijo_search(decreases, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE):
     """Per trial, the first dyadic lam with h(theta0 + lam*v) - h(theta0) <= c*lam*<v, m>.
 
     ``theta0``, ``v`` (search directions) and ``m`` (gradients of h at
-    theta0) are (T, d) stacks. ``decrease`` maps the (k,) step lengths
-    ``STEP_LENGTHS`` to the (T, k) decreases
-    h(theta0 + lam*v) - h(theta0), row t on trial t's objective, and is
-    called exactly once. A trial whose candidates all fail takes the
-    last one. Returns ``(lams, satisfied, failures)``: the (T,) step
-    lengths, a (T,) mask of the trials whose taken candidate passed the
-    test (False where the search ran out of halvings), and a map from the
-    position of each trial whose decrease is non-finite at a candidate up
-    to the one it would take, to its NumericalError.
+    theta0) are (T, d) stacks. ``decreases`` is the (T, k) array of the
+    decreases h(theta0 + lam*v) - h(theta0) at the k step lengths
+    ``STEP_LENGTHS``, row t on trial t's objective. A trial whose
+    candidates all fail takes the last one. Returns ``(lams, satisfied,
+    failures)``: the (T,) step lengths, a (T,) mask of the trials whose
+    taken candidate passed the test (False where the search ran out of
+    halvings), and a map from the position of each trial whose decrease
+    is non-finite at a candidate up to the one it would take, to its
+    NumericalError.
     """
-    decreases = decrease(STEP_LENGTHS)
     passed = decreases <= (c * STEP_LENGTHS) * np.vecdot(v, m)[:, None]
     # The taken candidate passed exactly when any did.
     satisfied = passed.any(axis=1)
@@ -76,16 +74,13 @@ def armijo_backtrack(h, theta0, v, m, c=DEFAULT_SUFFICIENT_DECREASE):
     is the one-trial case of ``armijo_search``.
     """
     theta0, v, m = (np.asarray(x, dtype=float)[None] for x in (theta0, v, m))
-
-    def decrease(lams):
-        values = np.asarray(h(np.concatenate((theta0, theta0 + lams[:, None] * v))), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(h(np.concatenate((theta0, theta0 + STEP_LENGTHS[:, None] * v))),
+                            dtype=float)
         if not np.isfinite(values[0]):
             raise NumericalError("objective is non-finite at the line-search origin",
                                  theta=theta0[0])
-        return values[None, 1:] - values[0]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        taken, _, failures = armijo_search(decrease, theta0, v, m, c)
+        taken, _, failures = armijo_search(values[None, 1:] - values[0], theta0, v, m, c)
     if failures:
         raise failures[0]
     return float(taken[0])

@@ -22,6 +22,7 @@ run of the trace, which is the only place records are formed. ``run``
 forms a record only when its trace's ``records`` are read.
 """
 
+import operator
 from dataclasses import dataclass, field, fields
 from collections.abc import Sequence
 from typing import Optional
@@ -81,7 +82,7 @@ class StepRecord:
     direction: np.ndarray
     step_length: float
     batch: np.ndarray
-    newton_direction: Optional[np.ndarray] = None
+    newton_direction: np.ndarray
     rho_m: Optional[float] = None
     fallback_fired: Optional[bool] = None
 
@@ -93,11 +94,10 @@ class TrialTrace:
     From ``run``, ``records`` is a read-only sequence over the run's
     arrays that forms each StepRecord when it is read, with views of
     those arrays: reading a record twice gives two equal records, not
-    the same object. It supports ``len``, indexing, slicing (to a list)
-    and iteration.
+    the same object. It supports ``len``, indexing and iteration.
     """
 
-    records: Sequence[StepRecord] = ()
+    records: Sequence[StepRecord]
 
 
 class _RunRecords(Sequence):
@@ -113,9 +113,8 @@ class _RunRecords(Sequence):
         return self._steps
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[s] for s in range(*index.indices(self._steps))]
-        s = range(self._steps)[index]
+        # An integer only: a slice raises TypeError.
+        s = range(self._steps)[operator.index(index)]
         return _record(self._view, s, s + 1, self._batches[s])
 
 
@@ -232,10 +231,9 @@ def _stacked_step(obj, cfg, theta, idx, belief, trace, rows, s):
         trace.rho[rows, s] = upd.rho
         trace.fallback[rows, s] = upd.fallback_fired
         trace.sigma_lam_max[rows, s] = upd.sigma_lam_max
-    lams, satisfied, search = line_search.armijo_search(
-        lambda lams: obj.step_decreases(theta, idx, obs, direction, lams), theta, direction,
-        obs.f, c=cfg.armijo_c,
-    )
+    decreases = obj.step_decreases(theta, idx, obs, direction, line_search.STEP_LENGTHS)
+    lams, satisfied, search = line_search.armijo_search(decreases, theta, direction, obs.f,
+                                                        c=cfg.armijo_c)
     for i, err in search.items():
         failures.setdefault(i, err)
     theta = theta + lams[:, None] * direction

@@ -97,6 +97,42 @@ def test_bad_flag_value_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-paired", "--trials", "3", "--steps", "2", "--beta", "inf"],
+    ["trace", "--steps", "2", "--beta", "inf"],
+    ["check-prop1", "--alpha", "0.5", "--beta", "inf", "--lambda-min", "0.3", "--lambda-max", "1"],
+    ["check-prop1", "--alpha", "0.5", "--beta", "0.2", "--lambda-min", "0.3",
+     "--lambda-max", "inf"],
+], ids=["run-paired-beta", "trace-beta", "check-prop1-beta", "check-prop1-lambda-max"])
+def test_non_finite_setting_is_an_input_error(argv, tmp_path, capsys):
+    # An infinite beta or lambda bound is bad input, not a numerical failure,
+    # and is refused before anything is run or printed.
+    if argv[0] == "run-paired":
+        argv = argv + ["--out", str(tmp_path / "inf")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--trial", "-1"],
+    ["trace", "--seed", "-1"],
+    ["run-paired", "--seed", "-1", "--trials", "2", "--steps", "2"],
+], ids=["trace-trial", "trace-seed", "run-paired-seed"])
+def test_negative_stream_key_is_refused_by_its_flag(argv, capsys):
+    # A stream key is a non-negative integer: the parser names the flag and
+    # exits before anything is printed.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = argv[argv.index("-1") - 1]
+    assert f"argument {flag}: expected a non-negative integer, got '-1'" in captured.err
+
+
 def test_unwritable_output_is_input_error(tmp_path):
     code = main(["run-paired", "--trials", "2", "--steps", "2",
                  "--out", str(tmp_path / "missing_dir" / "deep" / "x")])

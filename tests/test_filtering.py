@@ -76,6 +76,12 @@ def test_config_validation():
         FilterConfig(alpha=0.5, beta=0.2, dim=0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.5, np.inf), (0.5, np.nan), (np.nan, 0.2)])
+def test_config_refuses_non_finite_parameters(alpha, beta):
+    with pytest.raises(ValueError):
+        FilterConfig(alpha=alpha, beta=beta, dim=1)
+
+
 # ---------------------------------------------------------------------------
 # init_belief
 # ---------------------------------------------------------------------------
@@ -308,6 +314,14 @@ def test_contraction_bound_input_validation():
         check_contraction_bound(cfg, 0.0, 1.0)
     with pytest.raises(ValueError):
         check_contraction_bound(cfg, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lam_min, lam_max", [(0.3, np.inf), (np.inf, np.inf), (np.nan, 1.0),
+                                              (0.3, np.nan)])
+def test_contraction_bound_refuses_non_finite_bounds(lam_min, lam_max):
+    cfg = FilterConfig(alpha=0.9, beta=0.2, dim=1)
+    with pytest.raises(ValueError, match="finite"):
+        check_contraction_bound(cfg, lam_min, lam_max)
 
 
 # ---------------------------------------------------------------------------

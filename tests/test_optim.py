@@ -535,16 +535,26 @@ def test_every_step_length_is_the_one_point_search(case):
 # what the trace says of each step
 # ---------------------------------------------------------------------------
 
-def _setting(name):
-    """(obj, experiment config, batches) of a 40-trial benchmark run at the
-    default settings or at the golden ridge-d2 settings (n 20, batch 2)."""
-    cfg = ExperimentConfig(trials=40, **({} if name == "default" else dict(n=20, batch_size=2)))
+SETTINGS = {
+    "default": dict(trials=40),
+    "ridge-d2": dict(trials=40, n=20, batch_size=2),
+    "paired-d2": {},
+    "paired-wide": dict(trials=20, n=2000, d=20, batch_size=100),
+}
+
+
+def _setting(name, seed=0):
+    """(obj, experiment config, batches) of a benchmark run: 40 trials at
+    the default settings or at the golden ridge-d2 settings (n 20, batch
+    2), all 1000 at the defaults (paired-d2), or 20 at the paired-wide
+    settings (n 2000, d 20, batch 100)."""
+    cfg = ExperimentConfig(master_seed=seed, **SETTINGS[name])
     obj = LeastSquaresObjective(generate_data(cfg, derive_stream(cfg.master_seed, DATA_STREAM)))
     return obj, cfg, _draw_batches(cfg)
 
 
-def _trace(setting, filtered):
-    obj, cfg, batches = _setting(setting)
+def _trace(setting, filtered, seed=0):
+    obj, cfg, batches = _setting(setting, seed)
     trace = run_trials(obj, cfg.theta0, batches, cfg.optimizer_config(filtered))
     assert not trace.failed_step.any()
     return trace
@@ -563,6 +573,21 @@ def test_rho_is_finite_exactly_at_filter_updates(setting):
     lam = trace.sigma_lam_max[update]
     assert np.array_equal(trace.rho[update],
                           fcfg.alpha * lam / (fcfg.alpha ** 2 * lam + fcfg.beta))
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+@pytest.mark.parametrize("setting", ["paired-d2", "ridge-d2", "paired-wide"])
+def test_rho_is_below_one_exactly_below_the_contraction_threshold(setting, seed):
+    # rho_t = alpha lam / (alpha^2 lam + beta) increases with lam = lam_max(Sigma_{t-1})
+    # and is 1 at lam = beta / (alpha (1 - alpha)), 2.22 at the defaults.
+    trace = _trace(setting, True, seed)
+    fcfg = _setting(setting, seed)[1].filter_config()
+    threshold = fcfg.beta / (fcfg.alpha * (1.0 - fcfg.alpha))
+    update = ~np.isnan(trace.rho)
+    contracts = trace.rho[update] < 1.0
+    assert np.array_equal(contracts, trace.sigma_lam_max[update] < threshold)
+    # Both sides of the threshold are met, so the statement is not empty.
+    assert contracts.any() and not contracts.all()
 
 
 @pytest.mark.parametrize("setting", ["default", "ridge-d2"])
@@ -645,13 +670,10 @@ def test_run_records_behave_as_a_list():
     for index in (7, -8):
         with pytest.raises(IndexError):
             records[index]
-    with pytest.raises(TypeError):
-        records[1.0]
-    for part in (slice(2, 5), slice(None, None, -2), slice(-3, None), slice(5, 2), slice(0, 99)):
-        got = records[part]
-        assert isinstance(got, list) and len(got) == len(listed[part])
-        for a, b in zip(got, listed[part]):
-            _assert_same_record(a, b)
+    # An index is an integer: a float or a slice is refused.
+    for index in (1.0, slice(2, 5), slice(5, 2)):
+        with pytest.raises(TypeError):
+            records[index]
     # Iterating twice reads the same records again.
     for a, b in zip(records, listed):
         _assert_same_record(a, b)
