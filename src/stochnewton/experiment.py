@@ -25,6 +25,7 @@ are formed from those arrays in trial order.
 """
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
@@ -32,9 +33,9 @@ import numpy as np
 
 from .filtering import FilterConfig
 from .linalg import PositiveDefiniteError, solve_spd, sym
-from .objectives import LeastSquaresData, LeastSquaresObjective, sample_batch
+from .objectives import LeastSquaresData, LeastSquaresObjective
 from .optim import OptimizerConfig, StackedTrace, run_trials
-from .streams import BATCH_STREAM, DATA_STREAM, derive_stream
+from .streams import DATA_STREAM, batch_indices, derive_stream
 
 __all__ = [
     "ExperimentConfig",
@@ -98,6 +99,8 @@ class ExperimentConfig:
     theta0: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if operator.index(self.master_seed) < 0:
+            raise ValueError("master_seed must be a non-negative integer")
         if min(self.n, self.d, self.batch_size, self.steps, self.trials) < 1:
             raise ValueError("n, d, batch_size, steps, and trials must all be >= 1")
         if self.theta_true is None:
@@ -281,13 +284,15 @@ class ExperimentResult:
 def _draw_batches(cfg):
     """Every trial's batches, (trials, steps, batch_size), each from its own stream.
 
-    One draw of steps * batch_size indices per trial gives the same
-    indices as one draw per step.
+    Trial k's batches are the ``steps * batch_size`` indices of
+    ``sample_batch(derive_stream(master_seed, BATCH_STREAM, k), n, size)``,
+    the same as one draw per step. ``streams.batch_indices`` draws them
+    for all trials in one vectorized pass (SeedSequence keys, numpy's
+    Philox 4x64 words and numpy's 32-bit Lemire draw), bit for bit.
     """
     size = cfg.steps * cfg.batch_size
-    draws = [sample_batch(derive_stream(cfg.master_seed, BATCH_STREAM, trial), cfg.n, size)
-             for trial in range(cfg.trials)]
-    return np.stack(draws).reshape(cfg.trials, cfg.steps, cfg.batch_size)
+    return batch_indices(cfg.master_seed, cfg.trials, cfg.n, size).reshape(
+        cfg.trials, cfg.steps, cfg.batch_size)
 
 
 def _trajectory_curves(trace, theta_star, gram, f_star):
